@@ -1,0 +1,104 @@
+"""Golden traces: short runs of every preset whose trace hash and report
+scalars are pinned, so a refactor of the engine or the protocols that changes
+behaviour fails here rather than being caught only as "rerun equals rerun".
+
+The pinned values live in `golden_traces.json`, next to this file.  A change
+that means to alter behaviour regenerates them, and says so, with
+
+    PYTHONPATH=src python3 tests/test_golden.py --write
+"""
+
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from conftest import one_to_all_flow, small_scenario
+from gcnsim.engine import Run, trace_hash
+from gcnsim.model import MobilitySpec, TrafficSpec
+from gcnsim.presets import PRESETS
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+SHORT_S = 12.0
+SEEDS = (0, 1)
+
+
+def _short(sc):
+    """The scenario cut to at most SHORT_S seconds, sending until one second
+    before the end; the mobile preset rediscovers every 4 s so that epochs
+    are exercised inside the window."""
+    duration = min(sc.duration, SHORT_S)
+    flows = [replace(f, stop=min(f.stop, duration - 1.0)) for f in sc.traffic.flows]
+    sc = replace(sc, duration=duration, traffic=replace(sc.traffic, flows=flows))
+    if sc.timing.rediscovery_period and sc.timing.rediscovery_period >= duration:
+        sc = replace(sc, timing=replace(sc.timing, rediscovery_period=4.0))
+    return sc
+
+
+def _cases() -> dict:
+    cases = {name: _short(p.scenario) for name, p in PRESETS.items()}
+    rs = cases["resiliency_sweep"]
+    tc = cases["targeted_collection"]
+    cases["resiliency_no_jitter"] = replace(
+        rs, timing=replace(rs.timing, forward_jitter_max=0.0))
+    cases["resiliency_r5_loss50"] = replace(
+        rs, desired_relays=5, channel=replace(rs.channel, base_loss=0.5))
+    cases["targeted_mobile"] = replace(
+        tc, mrd_offset=1,
+        mobility=MobilitySpec(kind="random_waypoint", speed_min=0.0,
+                              speed_max=5.0, pause_min=0.0, pause_max=2.0))
+    return {f"{name}/{protocol}/{seed}": (replace(sc, protocol=protocol), seed)
+            for name, sc in sorted(cases.items())
+            for protocol in ("gcn", "smf") for seed in SEEDS}
+
+
+CASES = _cases()
+
+
+def _observe(sc, seed) -> dict:
+    trace, report = Run(sc, seed).run()
+    return {"trace": trace_hash(trace), "scalars": report.to_scalars()}
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_golden_trace_and_scalars(key):
+    golden = json.loads(GOLDEN.read_text())
+    assert key in golden, f"no pinned value for {key}; regenerate {GOLDEN.name}"
+    assert _observe(*CASES[key]) == golden[key]
+
+
+def test_every_pinned_case_still_runs():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+def test_each_transmission_reaches_every_neighbour_in_id_order():
+    """On a loss-free static channel every transmission calls `Run._receive`
+    once per entry of the sender's neighbour table, in id order, and the
+    receptions of one transmission are not interleaved with any other."""
+    sc = small_scenario(traffic=TrafficSpec(flows=[one_to_all_flow()]))
+    run = Run(sc, 0)
+    receive = run._receive
+    heard = []  # one [sender, packet, hearers] per transmission heard
+
+    def recording(node_id, pkt, sender):
+        if not heard or heard[-1][1] is not pkt or heard[-1][0] != sender:
+            heard.append([sender, pkt, []])
+        heard[-1][2].append(node_id)
+        receive(node_id, pkt, sender)
+
+    run._receive = recording
+    trace, _ = run.run()
+    senders = [rec[1] for rec in trace if rec[2].startswith("tx:")]
+    assert all(run._neighbor_cache[s] for s in senders)
+    assert [s for s, _, _ in heard] == senders
+    for sender, _, hearers in heard:
+        assert hearers == [nid for nid, _ in run._neighbor_cache[sender]]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    GOLDEN.write_text(json.dumps({key: _observe(*CASES[key]) for key in sorted(CASES)},
+                                 indent=1, sort_keys=True) + "\n")
