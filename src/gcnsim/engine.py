@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from functools import cached_property
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
@@ -202,14 +203,16 @@ class Run:
             self.report.bytes_control += nbytes
         else:
             self.report.bytes_data += nbytes
-        info = pkt.ttl if pkt.kind == "discovery" else (
-            pkt.smf_ttl if pkt.smf_ttl is not None else
-            [m for _, m in pkt.destinations])
-        self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
-        spec = self.sc.channel
-        pos = self.positions[sender]
+        if self.collect_trace:
+            info = pkt.ttl if pkt.kind == "discovery" else (
+                pkt.smf_ttl if pkt.smf_ttl is not None else
+                [m for _, m in pkt.destinations])
+            self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
         rng = self.channel_rng
         if self._mobile:
+            spec = self.sc.channel
+            pos = self.positions[sender]
+            hearers = []
             for other in self.node_ids:
                 if other == sender:
                     continue
@@ -217,18 +220,35 @@ class Run:
                 if per >= 1.0:
                     continue
                 if per <= 0.0 or rng.random() >= per:
-                    self._push(self.now, _RX, other, (pkt, sender))
+                    hearers.append(other)
         else:
-            for other, per in self._neighbor_cache[sender]:
-                if per <= 0.0 or rng.random() >= per:
-                    self._push(self.now, _RX, other, (pkt, sender))
+            hearers = [other for other, per in self._neighbor_cache[sender]
+                       if per <= 0.0 or rng.random() >= per]
+        # one entry for all hearers: per-hearer entries would carry contiguous
+        # sequence numbers at one instant, so nothing could come between them
+        if hearers:
+            self._push(self.now, _RX, (pkt, sender), hearers)
 
     def _receive(self, node_id: int, pkt, sender: int) -> None:
-        if (pkt.kind == "discovery" and pkt.epoch == 0
-                and node_id in self.members):
-            self._discovered_members.add(node_id)
-        actions = self.nodes[node_id].handle(pkt, sender, self.now)
-        self._apply_actions(node_id, actions)
+        node = self.nodes[node_id]
+        kind = pkt.kind
+        if kind == "data":
+            actions = node.on_data(pkt, sender, self.now)
+        elif kind == "ack":
+            actions = node.on_ack(pkt, sender, self.now)
+        elif kind == "discovery":
+            if pkt.epoch == 0 and node_id in self.members:
+                self._discovered_members.add(node_id)
+            actions = node.on_discovery(pkt, sender, self.now)
+        else:
+            actions = node.handle(pkt, sender, self.now)  # raises ProtocolError
+        if actions:
+            self._apply_actions(node_id, actions)
+
+    @cached_property
+    def _unit_disk(self) -> dict:
+        """The unit-disk graph of a static run, built once when first needed."""
+        return unit_disk_adjacency(self.positions, self.sc.tx_radius)
 
     def _smf_ttl_for(self, sender: int) -> int:
         """Fair flood TTL for this sender: the minimum reaching every member.
@@ -239,8 +259,9 @@ class Run:
         """
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:
-            ttl = min_ttl_oracle(self.positions, self.sc.tx_radius,
-                                 self.members, source=sender)
+            ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
+                                 source=sender,
+                                 adj=None if self._mobile else self._unit_disk)
             self._smf_ttl_by_sender[sender] = ttl
         if ttl > self.report.smf_ttl:
             self.report.smf_ttl = ttl
@@ -336,7 +357,10 @@ class Run:
                 raise RuntimeError("event time went backwards")
             self.now = time
             if kind == _RX:
-                self._receive(a, b[0], b[1])
+                pkt, sender = a
+                receive = self._receive
+                for node_id in b:
+                    receive(node_id, pkt, sender)
             elif kind == _TX:
                 self._transmit(a, b)
             elif kind == _ACK_DUE:

@@ -295,9 +295,9 @@ class GcnNode:
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         self.update_distance(pkt)
         actions = []
-        pairs = list(pkt.destinations)
-        is_dest = any(dest == self.node_id for dest, _ in pairs)
+        pairs = pkt.destinations
         one_to_all = not pairs
+        is_dest = not one_to_all and any(dest == self.node_id for dest, _ in pairs)
         if pkt.msg_id not in self.delivered:
             if is_dest or (one_to_all and self.is_member):
                 self.delivered.add(pkt.msg_id)

@@ -91,17 +91,20 @@ def bfs_hops(adj: dict, start: NodeId) -> dict:
 
 
 def min_ttl_oracle(positions: dict, tx_radius: float, group: set,
-                   source: NodeId = None) -> int:
+                   source: NodeId = None, adj: dict = None) -> int:
     """Smallest TTL letting a flood from `source` reach every group member.
 
     With `source` None the worst case over all member senders is returned,
     which on the loss-free unit-disk graph is the group's hop diameter.
     If part of the group is unreachable, the TTL covering the largest
-    reachable subset is returned with a warning.
+    reachable subset is returned with a warning.  `adj` is the unit-disk
+    graph of `positions` when the caller already has it; it is built here
+    when None.
     """
     if not group:
         raise ValueError("empty group")
-    adj = unit_disk_adjacency(positions, tx_radius)
+    if adj is None:
+        adj = unit_disk_adjacency(positions, tx_radius)
     senders = [source] if source is not None else sorted(group)
     best = 0
     disconnected = False

@@ -2,6 +2,8 @@
 
 import pytest
 
+import gcnsim.engine as engine_mod
+import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.engine import Run, run_scenario, trace_hash
 from gcnsim.model import (ChannelSpec, ConfigurationError, MobilitySpec,
@@ -181,3 +183,20 @@ def test_refresh_packets_counted_as_data():
     assert report.bytes_data > quiet.bytes_data
     # refresh packets are unmetered: they never inflate delivery accounting
     assert report.delivery_per_flow == quiet.delivery_per_flow == []
+
+
+def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
+    built = []
+    real = smf_mod.unit_disk_adjacency
+
+    def counting(positions, tx_radius):
+        built.append(len(positions))
+        return real(positions, tx_radius)
+
+    monkeypatch.setattr(engine_mod, "unit_disk_adjacency", counting)
+    monkeypatch.setattr(smf_mod, "unit_disk_adjacency", counting)
+    sc = small_scenario(protocol="smf", traffic=flows(
+        one_to_all_flow(senders="all_members")))
+    _, report = run_scenario(sc, 0)
+    assert report.num_members > 1 and report.smf_ttl >= 1
+    assert built == [sc.num_users]

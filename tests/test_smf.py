@@ -124,7 +124,9 @@ def test_min_ttl_matches_independent_shortest_paths():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = min_ttl_oracle(positions, 35.0, group, source=source)
-        assert got == want, f"seed {seed}"
+            prebuilt = min_ttl_oracle(positions, 35.0, group, source=source,
+                                      adj=unit_disk_adjacency(positions, 35.0))
+        assert got == prebuilt == want, f"seed {seed}"
 
 
 def test_min_ttl_flood_actually_reaches_group():
