@@ -76,15 +76,16 @@ class Run:
                 for nid in self.node_ids}
 
         self._mobile = scenario.mobility.kind == "random_waypoint"
-        placement_radius = (scenario.outer_radius if scenario.outer_radius is not None
-                            else scenario.region_radius)
+        self._placement_radius = (scenario.outer_radius
+                                  if scenario.outer_radius is not None
+                                  else scenario.region_radius)
         if self._mobile:
-            self._motion_rng = {nid: make_rng(seed, STREAM_MOBILITY, nid)
-                                for nid in self.node_ids}
-            self.motion = {
-                nid: init_motion(scenario.mobility, self.positions[nid], 0.0,
-                                 self._motion_rng[nid], placement_radius)
-                for nid in self.node_ids}
+            self._movers = []  # (node id, motion state, motion rng), by id
+            for nid in self.node_ids:
+                rng = make_rng(seed, STREAM_MOBILITY, nid)
+                self._movers.append((nid, init_motion(
+                    scenario.mobility, self.positions[nid], 0.0, rng,
+                    self._placement_radius), rng))
         else:
             self._neighbor_cache = self._build_neighbor_cache()
 
@@ -101,18 +102,20 @@ class Run:
     # -- setup -------------------------------------------------------------
 
     def _build_neighbor_cache(self) -> dict:
-        cache = {}
+        """Node id -> [(neighbour id, per)] in id order, over every neighbour
+        the channel can reach; each unordered pair is priced once."""
         spec = self.sc.channel
-        for nid in self.node_ids:
-            pos = self.positions[nid]
-            entries = []
-            for other in self.node_ids:
-                if other == nid:
-                    continue
-                per = channel_mod.per_at(spec, pos.distance_to(self.positions[other]))
+        ids = self.node_ids
+        positions = [self.positions[nid] for nid in ids]
+        cache = {nid: [] for nid in ids}
+        for i, a in enumerate(ids):
+            pos, entries = positions[i], cache[a]
+            for j in range(i + 1, len(ids)):
+                per = channel_mod.per_at(spec, pos.distance_to(positions[j]))
                 if per < 1.0:
-                    entries.append((other, per))
-            cache[nid] = entries
+                    b = ids[j]
+                    entries.append((b, per))
+                    cache[b].append((a, per))
         return cache
 
     def _push(self, time: float, kind: int, a=None, b=None) -> None:
@@ -318,12 +321,13 @@ class Run:
 
     def _do_mobility(self) -> None:
         mob = self.sc.mobility
-        placement_radius = (self.sc.outer_radius if self.sc.outer_radius is not None
-                            else self.sc.region_radius)
-        for nid in self.node_ids:
-            state = advance(mob, self.motion[nid], self.now - MOBILITY_TICK,
-                            MOBILITY_TICK, self._motion_rng[nid], placement_radius)
-            self.positions[nid] = state.position
+        start = self.now - MOBILITY_TICK
+        positions = self.positions
+        for nid, state, rng in self._movers:
+            if MOBILITY_TICK <= state.pause_until - start:
+                continue  # pausing through the whole tick: advance would only wait
+            positions[nid] = advance(mob, state, start, MOBILITY_TICK, rng,
+                                     self._placement_radius).position
 
     def _do_sample(self) -> None:
         if self.sc.protocol == "gcn":
