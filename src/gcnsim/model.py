@@ -142,6 +142,10 @@ def validate_scenario(sc: Scenario) -> list:
     if sc.protocol not in ("gcn", "smf"):
         out.append("protocol: must be 'gcn' or 'smf'")
     ch = sc.channel
+    if ch.tx_radius != sc.tx_radius:
+        # the oracles and connectivity use the scenario radius, the channel
+        # its own: two radii would make every comparison silently wrong
+        out.append("channel.tx_radius: must equal tx_radius")
     if ch.flat_per is not None and not (0.0 <= ch.flat_per <= 1.0):
         out.append("channel.flat_per: must be in [0, 1]")
     if not (0.0 <= ch.base_loss <= 1.0):
@@ -170,13 +174,26 @@ def validate_scenario(sc: Scenario) -> list:
         val = getattr(tm, name)
         if val is not None and val <= 0:
             out.append(f"timing.{name}: must be positive when set")
+    if tm.refresh_bytes < 0:
+        out.append("timing.refresh_bytes: must be non-negative")
     for i, flow in enumerate(sc.traffic.flows):
         if flow.pattern not in ("one_to_all", "targeted"):
             out.append(f"traffic.flows[{i}].pattern: must be 'one_to_all' or 'targeted'")
         if flow.senders not in ("source", "all_members"):
             out.append(f"traffic.flows[{i}].senders: must be 'source' or 'all_members'")
+        if isinstance(flow.dests, str):
+            if flow.dests not in ("all", "source"):
+                out.append(f"traffic.flows[{i}].dests: must be 'all', 'source' "
+                           "or a list of node ids")
+        elif not (isinstance(flow.dests, (list, tuple))
+                  and all(isinstance(d, int) and 0 <= d < sc.num_users
+                          for d in flow.dests)):
+            out.append(f"traffic.flows[{i}].dests: node ids must be in "
+                       "[0, num_users)")
         if flow.rate <= 0:
             out.append(f"traffic.flows[{i}].rate: must be positive")
+        if flow.payload_bytes < 0:
+            out.append(f"traffic.flows[{i}].payload_bytes: must be non-negative")
         if not (flow.start < flow.stop <= sc.duration):
             out.append(f"traffic.flows[{i}]: need start < stop <= duration")
     return out

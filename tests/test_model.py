@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT, ChannelSpec,
-                          ConfigurationError, Position, Scenario, make_rng,
-                          place_nodes, save_scenario, scenario_from_dict,
-                          scenario_to_dict, load_scenario, uniform_disk_point,
-                          validate_scenario)
+                          ConfigurationError, Position, Scenario, TimingParams,
+                          TrafficFlow, TrafficSpec, make_rng, place_nodes,
+                          save_scenario, scenario_from_dict, scenario_to_dict,
+                          load_scenario, uniform_disk_point, validate_scenario)
 
 
 # --- rng streams ----------------------------------------------------------
@@ -132,6 +132,14 @@ def test_default_scenario_is_valid():
     (dict(seeds=[]), "seeds"),
     (dict(protocol="carrier-pigeon"), "protocol"),
     (dict(outer_radius=10.0), "outer_radius"),
+    (dict(channel=ChannelSpec(tx_radius=80.0)), "channel.tx_radius"),
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", dests="foo", stop=5.0)])), "flows[0].dests"),
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", dests=[0, 100], stop=5.0)])), "flows[0].dests"),
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
+    (dict(timing=TimingParams(refresh_bytes=-1)), "timing.refresh_bytes"),
 ])
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)
