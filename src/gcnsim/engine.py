@@ -244,7 +244,7 @@ class Run:
                 self._discovered_members.add(node_id)
             actions = node.on_discovery(pkt, sender, self.now)
         else:
-            actions = node.handle(pkt, sender, self.now)  # raises ProtocolError
+            actions = node.handle(pkt, sender, self.now)  # GcnNode rejects it
         if actions:
             self._apply_actions(node_id, actions)
 
