@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import random
 
-from .model import ChannelSpec, NodeId, Position
+from .model import ChannelSpec
 
 
 def default_curve_points() -> list:
     """Synthetic logistic-shaped PER table: lossless to 20 m, certain loss at 60 m.
 
-    Stands in for a measured low-power-radio error curve; replaceable via a
-    two-column curve file.
+    Stands in for a measured low-power-radio error curve; a scenario file
+    replaces it with its own `channel.curve_points`.
     """
     import math
 
@@ -26,19 +26,6 @@ def default_curve_points() -> list:
     lo, hi = logistic(20.0), logistic(60.0)
     # rescale so the table hits exactly 0 at 20 m and 1 at 60 m
     return [(float(d), (logistic(d) - lo) / (hi - lo)) for d in range(20, 65, 5)]
-
-
-def load_curve_file(path: str) -> list:
-    """Read a two-column (distance_m, per) curve file; '#' starts a comment."""
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            d, p = line.split()
-            pts.append((float(d), float(p)))
-    return pts
 
 
 def _curve_per(points: list, d: float) -> float:
@@ -54,9 +41,10 @@ def _curve_per(points: list, d: float) -> float:
     return points[-1][1]
 
 
-def per_at(spec: ChannelSpec, d: float) -> float:
-    """Packet error rate at distance d, including the base-loss overlay."""
-    if d > spec.tx_radius:
+def per_at(spec: ChannelSpec, tx_radius: float, d: float) -> float:
+    """Packet error rate at distance d, including the base-loss overlay;
+    certain loss beyond the scenario's transmit radius."""
+    if d > tx_radius:
         return 1.0
     if spec.flat_per is not None:
         per = spec.flat_per
@@ -67,17 +55,11 @@ def per_at(spec: ChannelSpec, d: float) -> float:
     return 1.0 - (1.0 - spec.base_loss) * (1.0 - per)
 
 
-def broadcast(spec: ChannelSpec, sender_pos: Position, receivers, rng: random.Random):
-    """Sample which receivers hear one transmission.
+def hearers(row: list, rng: random.Random) -> list:
+    """Sample which entries of one sender's neighbour row hear a transmission.
 
-    receivers: iterable of (NodeId, Position).  Draws are made independently
-    per receiver in NodeId order so the stream is reproducible.
+    row: [(NodeId, per)] in id order, each per < 1.  One `rng.random()` is
+    drawn per entry with 0 < per < 1, in row order, so the stream is
+    reproducible; a lossless entry always hears and draws nothing.
     """
-    delivered = set()
-    for node, pos in sorted(receivers, key=lambda item: item[0]):
-        per = per_at(spec, sender_pos.distance_to(pos))
-        if per >= 1.0:
-            continue
-        if per <= 0.0 or rng.random() >= per:
-            delivered.add(node)
-    return delivered
+    return [node for node, per in row if per <= 0.0 or rng.random() >= per]

@@ -18,8 +18,8 @@ from .analytics import MetricsReport, build_world, connectivity_sample
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, validate_scenario)
-from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError, SendAck,
-                       Transmit)
+from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
+                       ProtocolError, SendAck, Transmit)
 from .smf import SmfNode, bfs_hops, min_ttl_oracle, unit_disk_adjacency
 
 MOBILITY_TICK = 0.1
@@ -86,8 +86,10 @@ class Run:
                 self._movers.append((nid, init_motion(
                     scenario.mobility, self.positions[nid], 0.0, rng,
                     self._placement_radius), rng))
-        else:
-            self._neighbor_cache = self._build_neighbor_cache()
+        # node id -> [(neighbour id, per)] in id order, over every neighbour
+        # the channel can reach from the current positions; a mobile run
+        # prices a sender's row when it first transmits after a move
+        self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
 
         self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
                                     num_members=len(self.members), source=self.source)
@@ -102,21 +104,33 @@ class Run:
     # -- setup -------------------------------------------------------------
 
     def _build_neighbor_cache(self) -> dict:
-        """Node id -> [(neighbour id, per)] in id order, over every neighbour
-        the channel can reach; each unordered pair is priced once."""
-        spec = self.sc.channel
+        """Every node's neighbour row; each unordered pair is priced once."""
+        spec, radius = self.sc.channel, self.sc.tx_radius
         ids = self.node_ids
         positions = [self.positions[nid] for nid in ids]
         cache = {nid: [] for nid in ids}
         for i, a in enumerate(ids):
             pos, entries = positions[i], cache[a]
             for j in range(i + 1, len(ids)):
-                per = channel_mod.per_at(spec, pos.distance_to(positions[j]))
+                per = channel_mod.per_at(spec, radius, pos.distance_to(positions[j]))
                 if per < 1.0:
                     b = ids[j]
                     entries.append((b, per))
                     cache[b].append((a, per))
         return cache
+
+    def _neighbor_row(self, sender: int) -> list:
+        """One sender's neighbour row, priced from the current positions."""
+        spec, radius = self.sc.channel, self.sc.tx_radius
+        positions = self.positions
+        pos = positions[sender]
+        row = []
+        for other in self.node_ids:
+            if other != sender:
+                per = channel_mod.per_at(spec, radius, pos.distance_to(positions[other]))
+                if per < 1.0:
+                    row.append((other, per))
+        return row
 
     def _push(self, time: float, kind: int, a=None, b=None) -> None:
         self._seq += 1
@@ -211,22 +225,10 @@ class Run:
                 pkt.smf_ttl if pkt.smf_ttl is not None else
                 [m for _, m in pkt.destinations])
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
-        rng = self.channel_rng
-        if self._mobile:
-            spec = self.sc.channel
-            pos = self.positions[sender]
-            hearers = []
-            for other in self.node_ids:
-                if other == sender:
-                    continue
-                per = channel_mod.per_at(spec, pos.distance_to(self.positions[other]))
-                if per >= 1.0:
-                    continue
-                if per <= 0.0 or rng.random() >= per:
-                    hearers.append(other)
-        else:
-            hearers = [other for other, per in self._neighbor_cache[sender]
-                       if per <= 0.0 or rng.random() >= per]
+        row = self._neighbor_cache.get(sender)
+        if row is None:
+            row = self._neighbor_cache[sender] = self._neighbor_row(sender)
+        hearers = channel_mod.hearers(row, self.channel_rng)
         # one entry for all hearers: per-hearer entries would carry contiguous
         # sequence numbers at one instant, so nothing could come between them
         if hearers:
@@ -244,7 +246,7 @@ class Run:
                 self._discovered_members.add(node_id)
             actions = node.on_discovery(pkt, sender, self.now)
         else:
-            actions = node.handle(pkt, sender, self.now)  # GcnNode rejects it
+            raise ProtocolError(f"unknown packet kind {kind!r}")
         if actions:
             self._apply_actions(node_id, actions)
 
@@ -328,6 +330,7 @@ class Run:
                 continue  # pausing through the whole tick: advance would only wait
             positions[nid] = advance(mob, state, start, MOBILITY_TICK, rng,
                                      self._placement_radius).position
+        self._neighbor_cache.clear()  # rows priced before the move are stale
 
     def _do_sample(self) -> None:
         if self.sc.protocol == "gcn":

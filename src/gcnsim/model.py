@@ -61,7 +61,7 @@ class TimingParams:
 
 @dataclass
 class ChannelSpec:
-    tx_radius: float = 40.0
+    """Loss inside the scenario's transmit radius; beyond it nothing is heard."""
     # flat_per and curve_points are mutually exclusive; flat_per wins if both set.
     flat_per: Optional[float] = 0.0
     curve_points: Optional[list] = None  # [(distance_m, per), ...] increasing
@@ -121,8 +121,9 @@ def validate_scenario(sc: Scenario) -> list:
     out = []
     if sc.num_users < 1:
         out.append("num_users: must be >= 1")
-    if not (0.0 <= sc.group_prob <= 1.0):
-        out.append("group_prob: must be in [0, 1]")
+    if not (0.0 < sc.group_prob <= 1.0):
+        # with no chance of a member, placement could never draw a group
+        out.append("group_prob: must be in (0, 1]")
     if sc.region_radius <= 0:
         out.append("region_radius: must be positive")
     if sc.outer_radius is not None and sc.outer_radius < sc.region_radius:
@@ -142,10 +143,6 @@ def validate_scenario(sc: Scenario) -> list:
     if sc.protocol not in ("gcn", "smf"):
         out.append("protocol: must be 'gcn' or 'smf'")
     ch = sc.channel
-    if ch.tx_radius != sc.tx_radius:
-        # the oracles and connectivity use the scenario radius, the channel
-        # its own: two radii would make every comparison silently wrong
-        out.append("channel.tx_radius: must equal tx_radius")
     if ch.flat_per is not None and not (0.0 <= ch.flat_per <= 1.0):
         out.append("channel.flat_per: must be in [0, 1]")
     if not (0.0 <= ch.base_loss <= 1.0):
@@ -259,6 +256,21 @@ def _dataclass_from_dict(cls, data: dict, path: str = ""):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario from its plain-dict (JSON) form.
+
+    Older files also carry the radius as `channel.tx_radius`.  It is folded
+    into the scenario's one radius when the two agree or the file has no
+    top-level radius, and rejected when they differ; `data` is not mutated.
+    """
+    channel = data.get("channel") if isinstance(data, dict) else None
+    if isinstance(channel, dict) and "tx_radius" in channel:
+        channel = dict(channel)
+        radius = channel.pop("tx_radius")
+        if data.get("tx_radius", radius) != radius:
+            raise ConfigurationError(
+                f"channel.tx_radius: {radius!r} differs from tx_radius "
+                f"{data['tx_radius']!r}; a scenario has one transmit radius")
+        data = {**data, "tx_radius": radius, "channel": channel}
     return _dataclass_from_dict(Scenario, data)
 
 

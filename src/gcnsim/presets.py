@@ -45,7 +45,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, num_users=100, group_prob=0.05,
             tx_radius=40.0, source_ttl=3, desired_relays=1,
-            channel=ChannelSpec(tx_radius=40.0, flat_per=0.0),
+            channel=ChannelSpec(flat_per=0.0),
             duration=2.0, seeds=list(range(50)),
         ),
         expected=[Expected("discovered_fraction", 0.986, 0.03,
@@ -60,7 +60,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, outer_radius=200.0, num_users=400,
             group_prob=0.10, tx_radius=40.0, source_ttl=3, desired_relays=1,
-            channel=ChannelSpec(tx_radius=40.0, flat_per=0.0),
+            channel=ChannelSpec(flat_per=0.0),
             traffic=TrafficSpec(flows=[TrafficFlow(
                 pattern="one_to_all", senders="source", dests="all",
                 rate=1.0, payload_bytes=1400, start=1.0, stop=11.0)]),
@@ -83,7 +83,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, num_users=100, group_prob=0.25,
             tx_radius=40.0, source_ttl=3, desired_relays=2,
-            channel=ChannelSpec(tx_radius=40.0, flat_per=0.0),
+            channel=ChannelSpec(flat_per=0.0),
             mobility=_rwp(),
             timing=TimingParams(rediscovery_period=100.0),
             duration=1000.0, seeds=list(range(50)),
@@ -102,7 +102,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, num_users=100, group_prob=0.25,
             tx_radius=40.0, source_ttl=3, desired_relays=1,
-            channel=ChannelSpec(tx_radius=40.0, flat_per=0.0, base_loss=0.0),
+            channel=ChannelSpec(flat_per=0.0, base_loss=0.0),
             traffic=TrafficSpec(flows=[TrafficFlow(
                 pattern="one_to_all", senders="all_members", dests="all",
                 rate=1.0, payload_bytes=1400, start=1.0, stop=101.0)]),
@@ -121,7 +121,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, num_users=100, group_prob=0.25,
             tx_radius=40.0, source_ttl=3, desired_relays=5, mrd_offset=0,
-            channel=ChannelSpec(tx_radius=40.0, flat_per=0.0, base_loss=0.25),
+            channel=ChannelSpec(flat_per=0.0, base_loss=0.25),
             traffic=TrafficSpec(flows=[TrafficFlow(
                 pattern="targeted", senders="all_members", dests="source",
                 rate=1.0, payload_bytes=1400, start=1.0, stop=101.0)]),
@@ -143,7 +143,7 @@ def _build() -> dict:
         scenario=Scenario(
             region_radius=100.0, num_users=100, group_prob=0.25,
             tx_radius=60.0, source_ttl=3, desired_relays=9, mrd_offset=1,
-            channel=ChannelSpec(tx_radius=60.0, flat_per=None,
+            channel=ChannelSpec(flat_per=None,
                                 curve_points=default_curve_points(),
                                 base_loss=0.0),
             traffic=TrafficSpec(flows=[

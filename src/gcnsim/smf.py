@@ -55,9 +55,6 @@ class SmfNode:
             actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
         return actions
 
-    def handle(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        return self.on_data(pkt, sender, now)
-
 
 # --- fair-TTL oracle ------------------------------------------------------
 

@@ -17,7 +17,7 @@ def small_scenario(**overrides) -> Scenario:
     base = dict(
         region_radius=60.0, num_users=30, group_prob=0.3, tx_radius=40.0,
         source_ttl=2, desired_relays=2,
-        channel=ChannelSpec(tx_radius=40.0, flat_per=0.0),
+        channel=ChannelSpec(flat_per=0.0),
         duration=3.0, seeds=[0],
     )
     base.update(overrides)

@@ -99,6 +99,20 @@ def test_sweep_nested_and_bare_parameter_names(tmp_path):
                  "--values", "0.0", "--seeds", "0", "--out", str(out)]) == 0
 
 
+def test_sweep_transmit_radius(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "discovery_reach", "--param", "tx_radius",
+                 "--values", "30,50", "--seeds", "0", "--out", str(out)]) == 0
+    with open(out) as fh:
+        reach = {r["value"]: float(r["metric_value"]) for r in csv.DictReader(fh)
+                 if r["metric"] == "discovered_fraction"}
+    assert reach == {"30": 0.75, "50": 1.0}
+    # the channel has no radius of its own to sweep
+    assert main(["sweep", "discovery_reach", "--param", "channel.tx_radius",
+                 "--values", "30", "--seeds", "0"]) == 2
+    assert "unknown scenario parameter" in capsys.readouterr().err
+
+
 def test_sweep_unknown_param_exits_2(tmp_path, capsys):
     assert main(["sweep", "discovery_reach", "--param", "warp_factor",
                  "--values", "1", "--seeds", "0"]) == 2

@@ -6,8 +6,11 @@ import gcnsim.engine as engine_mod
 import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.engine import Run, run_scenario, trace_hash
+from gcnsim.channel import default_curve_points
 from gcnsim.model import (ChannelSpec, ConfigurationError, MobilitySpec,
                           Scenario, TimingParams, TrafficFlow, TrafficSpec)
+from gcnsim.packets import Packet
+from gcnsim.protocol import ProtocolError
 
 
 def flows(*fl):
@@ -200,3 +203,50 @@ def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
     _, report = run_scenario(sc, 0)
     assert report.num_members > 1 and report.smf_ttl >= 1
     assert built == [sc.num_users]
+
+
+# --- channel neighbour table ----------------------------------------------
+
+def test_pairwise_table_matches_rows_priced_one_sender_at_a_time():
+    sc = small_scenario(channel=ChannelSpec(flat_per=None, base_loss=0.1,
+                                            curve_points=default_curve_points()))
+    run = Run(sc, 0)
+    assert run._neighbor_cache == {s: run._neighbor_row(s) for s in run.node_ids}
+    assert any(0.0 < per < 1.0 for row in run._neighbor_cache.values()
+               for _, per in row)
+
+
+def test_mobile_table_holds_only_rows_priced_since_the_last_move():
+    sc = small_scenario(
+        duration=5.0,
+        mobility=MobilitySpec(kind="random_waypoint", speed_min=1.0,
+                              speed_max=5.0, pause_min=0.0, pause_max=0.5),
+        traffic=flows(one_to_all_flow(start=1.0, stop=4.0, rate=10.0)))
+    run = Run(sc, 0)
+    assert run._neighbor_cache == {}
+    move = run._do_mobility
+    checked = []
+
+    def checking_move():
+        # just before the next move, every cached row is the one the
+        # current positions give
+        for sender, row in run._neighbor_cache.items():
+            assert row == run._neighbor_row(sender)
+        checked.append(len(run._neighbor_cache))
+        move()
+        assert run._neighbor_cache == {}
+
+    run._do_mobility = checking_move
+    run.run()
+    assert sum(checked) > 0
+
+
+# --- dispatch --------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", ["gcn", "smf"])
+def test_unknown_packet_kind_is_a_protocol_error(protocol):
+    run = Run(small_scenario(protocol=protocol), 0)
+    beacon = Packet(kind="beacon", group=0, origin=1, hop_counter=0,
+                    msg_id=(1, 1))
+    with pytest.raises(ProtocolError, match="beacon"):
+        run._receive(0, beacon, 1)

@@ -132,7 +132,7 @@ def test_default_scenario_is_valid():
     (dict(seeds=[]), "seeds"),
     (dict(protocol="carrier-pigeon"), "protocol"),
     (dict(outer_radius=10.0), "outer_radius"),
-    (dict(channel=ChannelSpec(tx_radius=80.0)), "channel.tx_radius"),
+    (dict(group_prob=0.0), "group_prob"),
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", dests="foo", stop=5.0)])), "flows[0].dests"),
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
@@ -189,6 +189,28 @@ def test_scenario_rejects_unknown_keys():
     data = scenario_to_dict(Scenario())
     data["channel"]["frobnicate"] = 1
     with pytest.raises(ConfigurationError, match="frobnicate"):
+        scenario_from_dict(data)
+
+
+def test_legacy_channel_radius_equal_to_scenario_radius_loads():
+    data = scenario_to_dict(Scenario(tx_radius=60.0))
+    data["channel"]["tx_radius"] = 60.0
+    before = json.loads(json.dumps(data))
+    assert scenario_from_dict(data) == Scenario(tx_radius=60.0)
+    assert data == before  # the caller's dict is not mutated
+
+
+def test_legacy_channel_radius_is_adopted_without_a_top_level_one():
+    data = scenario_to_dict(Scenario())
+    del data["tx_radius"]
+    data["channel"]["tx_radius"] = 55.0
+    assert scenario_from_dict(data).tx_radius == 55.0
+
+
+def test_legacy_channel_radius_that_differs_is_rejected():
+    data = scenario_to_dict(Scenario(tx_radius=40.0))
+    data["channel"]["tx_radius"] = 80.0
+    with pytest.raises(ConfigurationError, match="channel.tx_radius"):
         scenario_from_dict(data)
 
 

@@ -4,10 +4,17 @@ transmission bounds."""
 
 import random
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from conftest import Pump, small_scenario
 from gcnsim.analytics import discovery_reach_set
+from gcnsim.channel import default_curve_points
 from gcnsim.engine import Run
-from gcnsim.model import Position
+from gcnsim.model import (STREAM_PLACEMENT, ChannelSpec, ConfigurationError,
+                          MobilitySpec, Position, Scenario, TimingParams,
+                          TrafficFlow, TrafficSpec, make_rng,
+                          uniform_disk_point, validate_scenario)
 from gcnsim.protocol import GcnNode
 from gcnsim.smf import bfs_hops, unit_disk_adjacency
 
@@ -55,6 +62,90 @@ def test_discovered_fraction_matches_oracle_fraction():
         run = Run(sc, seed, collect_trace=False)
         _, report = run.run()
         assert report.discovered_fraction == discovered_member_fraction(sc, seed)
+
+
+# --- every accepted scenario runs -----------------------------------------
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _flows(draw, num_users: int, duration: float) -> list:
+    flows = []
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.floats(0.0, duration - 0.1))
+        stop = draw(st.floats(start + 0.05, duration))
+        if draw(st.booleans()):
+            pattern, dests = "one_to_all", "all"
+        else:
+            pattern = "targeted"
+            dests = draw(st.one_of(
+                st.sampled_from(["all", "source"]),
+                st.lists(st.integers(0, num_users - 1), max_size=4)))
+        flows.append(TrafficFlow(
+            pattern=pattern, dests=dests,
+            senders=draw(st.sampled_from(["source", "all_members"])),
+            rate=draw(st.floats(0.5, 20.0)),
+            payload_bytes=draw(st.integers(0, 1500)), start=start, stop=stop))
+    return flows
+
+
+@st.composite
+def _small_worlds(draw) -> Scenario:
+    num_users = draw(st.integers(1, 30))
+    region = draw(st.floats(5.0, 150.0))
+    duration = draw(st.floats(0.2, 5.0))
+    if draw(st.booleans()):
+        channel = ChannelSpec(flat_per=draw(_unit), base_loss=draw(_unit))
+    else:
+        channel = ChannelSpec(flat_per=None, curve_points=default_curve_points(),
+                              base_loss=draw(_unit))
+    if draw(st.booleans()):
+        speed_max, pause_max = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 2.0))
+        mobility = MobilitySpec(kind="random_waypoint", speed_max=speed_max,
+                                speed_min=draw(st.floats(0.0, speed_max)),
+                                pause_max=pause_max,
+                                pause_min=draw(st.floats(0.0, pause_max)))
+    else:
+        mobility = MobilitySpec()
+    period = st.one_of(st.none(), st.floats(0.1, 5.0))
+    return Scenario(
+        region_radius=region,
+        outer_radius=draw(st.one_of(st.none(), st.floats(region, 2.0 * region))),
+        num_users=num_users,
+        # place_nodes redraws membership flags until one member exists, and
+        # the expected number of redraws grows as 1 / group_prob with no
+        # bound on it, so tiny probabilities are left out
+        group_prob=draw(st.floats(0.05, 1.0)),
+        tx_radius=draw(st.floats(1.0, 120.0)),
+        source_ttl=draw(st.integers(1, 4)),
+        desired_relays=draw(st.integers(1, 3)),
+        mrd_offset=draw(st.sampled_from([-1, 0, 1])),
+        channel=channel, mobility=mobility,
+        traffic=TrafficSpec(flows=draw(_flows(num_users, duration))),
+        duration=duration,
+        protocol=draw(st.sampled_from(["gcn", "smf"])),
+        timing=TimingParams(rediscovery_period=draw(period),
+                            distance_refresh_period=draw(period),
+                            refresh_bytes=draw(st.integers(0, 40))))
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sc=_small_worlds(), seed=st.integers(0, 2 ** 16))
+def test_every_accepted_scenario_runs(sc, seed):
+    assert validate_scenario(sc) == []
+    try:
+        Run(sc, seed, collect_trace=False).run()
+    except ConfigurationError as exc:
+        # the one seed-dependent refusal: placement put no node inside the
+        # member disk, so no group can be drawn
+        assert "no node can ever be a group member" in str(exc)
+        rng = make_rng(seed, STREAM_PLACEMENT)
+        placement = sc.outer_radius if sc.outer_radius is not None else sc.region_radius
+        positions = [uniform_disk_point(rng, placement) for _ in range(sc.num_users)]
+        assert all(p.distance_to(Position(0.0, 0.0)) > sc.region_radius
+                   for p in positions)
 
 
 # --- corridor forwarding vs brute-force oracle ----------------------------
