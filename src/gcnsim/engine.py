@@ -22,11 +22,11 @@ from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                        ProtocolError, SendAck, Transmit)
 from .smf import SmfNode, bfs_hops, min_ttl_oracle, unit_disk_adjacency
 
-MOBILITY_TICK = 0.1
+TICKS_PER_S = 10  # mobility ticks fall at k / TICKS_PER_S, k = 1, 2, ...
 SAMPLE_PERIOD = 1.0
 
 # event kinds, ordered only by (time, seq)
-_RX, _TX, _ACK_DUE, _TRAFFIC, _MOB, _SAMPLE, _DISCOVER, _REFRESH = range(8)
+_RX, _TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(7)
 
 
 def trace_hash(trace: list) -> str:
@@ -80,6 +80,7 @@ class Run:
                                   if scenario.outer_radius is not None
                                   else scenario.region_radius)
         if self._mobile:
+            self._tick = 0  # the mobility tick the positions stand at
             self._movers = []  # (node id, motion state, motion rng), by id
             for nid in self.node_ids:
                 rng = make_rng(seed, STREAM_MOBILITY, nid)
@@ -140,20 +141,15 @@ class Run:
         sc = self.sc
         if sc.protocol == "gcn":
             self._push(0.0, _DISCOVER, 0)
-            period = sc.timing.rediscovery_period
-            if period:
-                epoch = 1
-                t = period
-                while t < sc.duration:
-                    self._push(t, _DISCOVER, epoch)
-                    epoch += 1
-                    t += period
-            refresh = sc.timing.distance_refresh_period
-            if refresh:
-                t = refresh
-                while t < sc.duration:
-                    self._push(t, _REFRESH)
-                    t += refresh
+            # every periodic time is k * period: a running sum would drift
+            period, epoch = sc.timing.rediscovery_period, 1
+            while period and epoch * period < sc.duration:
+                self._push(epoch * period, _DISCOVER, epoch)
+                epoch += 1
+            refresh, k = sc.timing.distance_refresh_period, 1
+            while refresh and k * refresh < sc.duration:
+                self._push(k * refresh, _REFRESH)
+                k += 1
         # SMF per-sender TTLs are computed lazily at send time
         for flow_idx, flow in enumerate(sc.traffic.flows):
             senders = ([self.source] if flow.senders == "source"
@@ -168,15 +164,8 @@ class Run:
                         break
                     self._push(t, _TRAFFIC, flow_idx, sender)
                     k += 1
-        if self._mobile:
-            t = MOBILITY_TICK
-            while t <= sc.duration:
-                self._push(t, _MOB)
-                t += MOBILITY_TICK
-        t = SAMPLE_PERIOD
-        while t <= sc.duration:
-            self._push(t, _SAMPLE)
-            t += SAMPLE_PERIOD
+        for k in range(1, int(sc.duration // SAMPLE_PERIOD) + 1):
+            self._push(k * SAMPLE_PERIOD, _SAMPLE)
 
     # -- trace / metrics helpers ------------------------------------------
 
@@ -225,6 +214,8 @@ class Run:
                 pkt.smf_ttl if pkt.smf_ttl is not None else
                 [m for _, m in pkt.destinations])
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
+        if self._mobile:
+            self._sync_positions()
         row = self._neighbor_cache.get(sender)
         if row is None:
             row = self._neighbor_cache[sender] = self._neighbor_row(sender)
@@ -264,6 +255,8 @@ class Run:
         """
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:
+            if self._mobile:
+                self._sync_positions()
             ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
                                  source=sender,
                                  adj=None if self._mobile else self._unit_disk)
@@ -321,18 +314,27 @@ class Run:
         actions = self.nodes[self.source].send_one_to_all(payload)
         self._apply_actions(self.source, actions)
 
-    def _do_mobility(self) -> None:
-        mob = self.sc.mobility
-        start = self.now - MOBILITY_TICK
-        positions = self.positions
+    def _sync_positions(self) -> None:
+        """Move every node to the last mobility tick at or before `now`, with
+        one `advance` call per node over all the ticks since the last sync."""
+        due = int(self.now * TICKS_PER_S) + 1
+        while due / TICKS_PER_S > self.now:
+            due -= 1
+        if due == self._tick:
+            return
+        mob, positions = self.sc.mobility, self.positions
+        start, span = self._tick / TICKS_PER_S, (due - self._tick) / TICKS_PER_S
         for nid, state, rng in self._movers:
-            if MOBILITY_TICK <= state.pause_until - start:
-                continue  # pausing through the whole tick: advance would only wait
-            positions[nid] = advance(mob, state, start, MOBILITY_TICK, rng,
+            if span <= state.pause_until - start:
+                continue  # pausing through the whole span: advance would only wait
+            positions[nid] = advance(mob, state, start, span, rng,
                                      self._placement_radius).position
+        self._tick = due
         self._neighbor_cache.clear()  # rows priced before the move are stale
 
     def _do_sample(self) -> None:
+        if self._mobile:
+            self._sync_positions()
         if self.sc.protocol == "gcn":
             active = {nid for nid, node in self.nodes.items()
                       if node.is_relay} | self.members
@@ -374,8 +376,6 @@ class Run:
                 self._apply_actions(a, self.nodes[a].make_ack())
             elif kind == _TRAFFIC:
                 self._do_traffic(a, b)
-            elif kind == _MOB:
-                self._do_mobility()
             elif kind == _SAMPLE:
                 self._do_sample()
             elif kind == _DISCOVER:

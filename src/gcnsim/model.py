@@ -24,6 +24,10 @@ STREAM_CHANNEL = 1
 STREAM_MOBILITY = 2
 STREAM_PROTOCOL = 3
 
+# membership redraws before placement gives up; at group_prob >= 1e-2 all
+# of them fail with probability below 0.99 ** 10_000 = 2e-44
+MAX_MEMBERSHIP_DRAWS = 10_000
+
 
 def make_rng(seed: int, domain: int, subject: int = 0) -> random.Random:
     """Return an independent PRNG stream for (seed, domain, subject)."""
@@ -206,20 +210,22 @@ def place_nodes(sc: Scenario, rng: random.Random):
     Returns a list of (NodeId, Position, is_group_member).  With a two-disk
     layout (outer_radius set), positions span the outer disk but only nodes
     inside the inner disk can be members.  If the membership draw produces
-    zero members, only the flags are redrawn, keeping positions untouched.
+    zero members, only the flags are redrawn, keeping positions untouched,
+    at most MAX_MEMBERSHIP_DRAWS times.
     """
     if sc.num_users < 1:
         raise ConfigurationError("cannot place zero nodes")
     placement_radius = sc.outer_radius if sc.outer_radius is not None else sc.region_radius
     positions = [uniform_disk_point(rng, placement_radius) for _ in range(sc.num_users)]
     inner = [p.distance_to(Position(0.0, 0.0)) <= sc.region_radius for p in positions]
-    while True:
+    for _ in range(MAX_MEMBERSHIP_DRAWS):
         flags = [inner[i] and rng.random() < sc.group_prob for i in range(sc.num_users)]
         if any(flags):
-            break
+            return [(i, positions[i], flags[i]) for i in range(sc.num_users)]
         if sc.group_prob == 0.0 or not any(inner):
             raise ConfigurationError("no node can ever be a group member")
-    return [(i, positions[i], flags[i]) for i in range(sc.num_users)]
+    raise ConfigurationError(f"no group member in {MAX_MEMBERSHIP_DRAWS} membership "
+                             f"draws at group_prob={sc.group_prob}")
 
 
 # --- Scenario (de)serialization ------------------------------------------

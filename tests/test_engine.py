@@ -5,10 +5,13 @@ import pytest
 import gcnsim.engine as engine_mod
 import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
+from gcnsim.analytics import connectivity_sample
 from gcnsim.engine import Run, run_scenario, trace_hash
 from gcnsim.channel import default_curve_points
-from gcnsim.model import (ChannelSpec, ConfigurationError, MobilitySpec,
-                          Scenario, TimingParams, TrafficFlow, TrafficSpec)
+from gcnsim.mobility import advance, init_motion
+from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
+                          MobilitySpec, Scenario, TimingParams, TrafficFlow,
+                          TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.protocol import ProtocolError
 
@@ -224,21 +227,67 @@ def test_mobile_table_holds_only_rows_priced_since_the_last_move():
         traffic=flows(one_to_all_flow(start=1.0, stop=4.0, rate=10.0)))
     run = Run(sc, 0)
     assert run._neighbor_cache == {}
-    move = run._do_mobility
+    sync = run._sync_positions
     checked = []
 
-    def checking_move():
+    def checking_sync():
         # just before the next move, every cached row is the one the
         # current positions give
+        tick, cached = run._tick, len(run._neighbor_cache)
         for sender, row in run._neighbor_cache.items():
             assert row == run._neighbor_row(sender)
-        checked.append(len(run._neighbor_cache))
-        move()
-        assert run._neighbor_cache == {}
+        sync()
+        if run._tick != tick:
+            checked.append(cached)
+            assert run._neighbor_cache == {}
 
-    run._do_mobility = checking_move
+    run._sync_positions = checking_sync
     run.run()
     assert sum(checked) > 0
+
+
+# --- mobility ticks -------------------------------------------------------
+
+def _rwp_scenario(duration):
+    return small_scenario(
+        duration=duration,
+        mobility=MobilitySpec(kind="random_waypoint", speed_min=1.0,
+                              speed_max=5.0, pause_min=0.0, pause_max=0.5))
+
+
+def test_long_mobile_run_ends_synced_to_its_last_tick():
+    # a running sum of 0.1 s steps passes 1000 s after 9,999 of them
+    run = Run(_rwp_scenario(1000.0), 0, collect_trace=False)
+    run.run()
+    assert run._tick == 10_000
+
+
+def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch):
+    sc = _rwp_scenario(6.0)
+    run = Run(sc, 1)
+    # the same motion stepped tick by tick on the grid k / TICKS_PER_S
+    reference = [(nid, init_motion(sc.mobility, run.positions[nid], 0.0, rng,
+                                   sc.region_radius), rng)
+                 for nid in run.node_ids
+                 for rng in [make_rng(1, STREAM_MOBILITY, nid)]]
+    stepped = [0]
+    seen = []
+
+    def checking_sample(positions, tx_radius, active, source, members):
+        assert run._tick == round(run.now * engine_mod.TICKS_PER_S)
+        while stepped[0] < run._tick:
+            for _, state, rng in reference:
+                advance(sc.mobility, state, stepped[0] / engine_mod.TICKS_PER_S,
+                        1 / engine_mod.TICKS_PER_S, rng, sc.region_radius)
+            stepped[0] += 1
+        for nid, state, _ in reference:
+            assert positions[nid].distance_to(state.position) <= 1e-9
+        seen.append(run._tick)
+        return connectivity_sample(positions, tx_radius, active, source, members)
+
+    monkeypatch.setattr(engine_mod, "connectivity_sample", checking_sample)
+    run.run()
+    assert seen == [10, 20, 30, 40, 50, 60]
 
 
 # --- dispatch --------------------------------------------------------------

@@ -6,6 +6,9 @@ The pinned values live in `golden_traces.json`, next to this file.  A change
 that means to alter behaviour regenerates them, and says so, with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
+
+which prints each key whose trace hash or scalars changed, with the old and
+new value of every scalar that moved, before it rewrites the file.
 """
 
 import json
@@ -97,8 +100,39 @@ def test_each_transmission_reaches_every_neighbour_in_id_order():
         assert hearers == [nid for nid, _ in run._neighbor_cache[sender]]
 
 
+def _changes(old: dict, new: dict) -> list:
+    """One line per key whose pinned value differs, then one per scalar that
+    moved, old -> new (None where a key is added or removed)."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, {}), new.get(key, {})
+        if before == after:
+            continue
+        same = before.get("trace") == after.get("trace")
+        lines.append(f"{key}: trace {'same' if same else 'changed'}")
+        was, now = before.get("scalars", {}), after.get("scalars", {})
+        lines += [f"  {name}: {was.get(name)} -> {now.get(name)}"
+                  for name in sorted(was.keys() | now.keys())
+                  if was.get(name) != now.get(name)]
+    return lines
+
+
+def test_rewrite_lists_each_changed_key_and_moved_scalar():
+    pinned = {"a": {"trace": "1", "scalars": {"x": 1.0, "y": 2.0}},
+              "b": {"trace": "2", "scalars": {"x": 3.0}}}
+    observed = {"a": {"trace": "9", "scalars": {"x": 1.0, "y": 2.5}},
+                "b": {"trace": "2", "scalars": {"x": 3.0}},
+                "c": {"trace": "3", "scalars": {"x": 4.0}}}
+    assert _changes(pinned, observed) == [
+        "a: trace changed", "  y: 2.0 -> 2.5",
+        "c: trace changed", "  x: None -> 4.0"]
+    assert _changes(pinned, pinned) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps({key: _observe(*CASES[key]) for key in sorted(CASES)},
-                                 indent=1, sort_keys=True) + "\n")
+    observed = {key: _observe(*CASES[key]) for key in sorted(CASES)}
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    print("\n".join(_changes(pinned, observed)) or "no pinned value changed")
+    GOLDEN.write_text(json.dumps(observed, indent=1, sort_keys=True) + "\n")

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnsim.mobility import advance, init_motion
 from gcnsim.model import MobilitySpec, Position
@@ -102,3 +104,33 @@ def test_advance_is_deterministic():
 
     assert trajectory(7) == trajectory(7)
     assert trajectory(7) != trajectory(8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), start=st.integers(0, 10_000),
+       n=st.integers(1, 50), speed_max=st.floats(0.0, 50.0),
+       speed_frac=st.floats(0.0, 1.0), pause_max=st.floats(0.0, 2.0),
+       pause_frac=st.floats(0.0, 1.0))
+def test_one_call_over_n_ticks_matches_n_single_ticks(seed, start, n, speed_max,
+                                                      speed_frac, pause_max,
+                                                      pause_frac):
+    """The engine moves a node over every tick since it last read positions in
+    one call; that must agree with stepping tick by tick on the same grid."""
+    spec = _rwp(speed_min=speed_max * speed_frac, speed_max=speed_max,
+                pause_min=pause_max * pause_frac, pause_max=pause_max)
+    ticks = 10
+    states, rngs = [], []
+    for _ in range(2):
+        rng = random.Random(seed)
+        states.append(init_motion(spec, Position(20.0, -30.0), start / ticks,
+                                  rng, RADIUS))
+        rngs.append(rng)
+    whole, stepped = states
+    advance(spec, whole, start / ticks, n / ticks, rngs[0], RADIUS)
+    for k in range(start, start + n):
+        advance(spec, stepped, k / ticks, 1 / ticks, rngs[1], RADIUS)
+    assert whole.position.distance_to(stepped.position) <= 1e-9
+    assert whole.waypoint == stepped.waypoint
+    assert whole.speed == stepped.speed
+    assert whole.pause_until == pytest.approx(stepped.pause_until, abs=1e-9)
+    assert rngs[0].getstate() == rngs[1].getstate()
