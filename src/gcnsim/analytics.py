@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
-from .model import (STREAM_PLACEMENT, NodeId, Position, Scenario, make_rng,
-                    place_nodes)
-from .smf import bfs_hops, unit_disk_adjacency
+# bfs_hops is re-exported: the benchmark's layer timers wrap it here
+from .geometry import bfs_hops, reached_count, unit_disk_adjacency  # noqa: F401
+from .model import STREAM_PLACEMENT, NodeId, Scenario, make_rng, place_nodes
 
 
 @dataclass
@@ -163,11 +162,7 @@ def connectivity_sample(positions: dict, tx_radius: float, active: set,
     others = members - {source}
     if not others:
         return 1.0
-    vertices = set(active) | {source}
-    sub = {v: positions[v] for v in vertices if v in positions}
-    adj = unit_disk_adjacency(sub, tx_radius)
-    reach = bfs_hops(adj, source) if source in adj else {source: 0}
-    return sum(1 for m in others if m in reach) / len(others)
+    return reached_count(positions, tx_radius, active, source, others) / len(others)
 
 
 # --- cross-seed aggregation ----------------------------------------------

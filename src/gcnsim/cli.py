@@ -21,11 +21,13 @@ from .presets import PRESETS, get_preset
 
 
 def parse_seeds(spec: str) -> list:
-    """'a..b' (inclusive) or a comma-separated list of integers."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s.strip()]
+    """'a..b' (inclusive) or a comma-separated list of integers; never empty."""
+    lo, dots, hi = spec.partition("..")
+    seeds = (list(range(int(lo), int(hi) + 1)) if dots
+             else [int(s) for s in spec.split(",") if s.strip()])
+    if not seeds:
+        raise ConfigurationError(f"--seeds {spec!r} names no seed")
+    return seeds
 
 
 def _worker(args):
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except (KeyError, ConfigurationError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 

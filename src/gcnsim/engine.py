@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from functools import cached_property
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
+from .geometry import CellList, bfs_hops, unit_disk_adjacency
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, validate_scenario)
 from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                        ProtocolError, SendAck, Transmit)
-from .smf import SmfNode, bfs_hops, min_ttl_oracle, unit_disk_adjacency
+from .smf import SmfNode, min_ttl_oracle
 
 TICKS_PER_S = 10  # mobility ticks fall at k / TICKS_PER_S, k = 1, 2, ...
 SAMPLE_PERIOD = 1.0
@@ -89,8 +89,14 @@ class Run:
                     self._placement_radius), rng))
         # node id -> [(neighbour id, per)] in id order, over every neighbour
         # the channel can reach from the current positions; a mobile run
-        # prices a sender's row when it first transmits after a move
+        # prices a sender's row when it first transmits after a move, from a
+        # cell list of the current positions built when first needed
+        self._cells = None
         self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
+        # a static run's unit-disk graph, built once for the flood-TTL oracle.
+        # Both are plain attributes, not cached properties: reading `__dict__`
+        # would slow every attribute read for the rest of the run
+        self._unit_disk = None
 
         self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
                                     num_members=len(self.members), source=self.source)
@@ -105,29 +111,24 @@ class Run:
     # -- setup -------------------------------------------------------------
 
     def _build_neighbor_cache(self) -> dict:
-        """Every node's neighbour row; each unordered pair is priced once."""
-        spec, radius = self.sc.channel, self.sc.tx_radius
-        ids = self.node_ids
-        positions = [self.positions[nid] for nid in ids]
-        cache = {nid: [] for nid in ids}
-        for i, a in enumerate(ids):
-            pos, entries = positions[i], cache[a]
-            for j in range(i + 1, len(ids)):
-                per = channel_mod.per_at(spec, radius, pos.distance_to(positions[j]))
-                if per < 1.0:
-                    b = ids[j]
-                    entries.append((b, per))
-                    cache[b].append((a, per))
+        """Every node's neighbour row; each candidate pair is priced once."""
+        cache = {nid: [] for nid in self.node_ids}
+        for a, entries in cache.items():
+            for b, per in self._neighbor_row(a, above=a):
+                entries.append((b, per))
+                cache[b].append((a, per))
         return cache
 
-    def _neighbor_row(self, sender: int) -> list:
-        """One sender's neighbour row, priced from the current positions."""
-        spec, radius = self.sc.channel, self.sc.tx_radius
-        positions = self.positions
+    def _neighbor_row(self, sender: int, above: int = -1) -> list:
+        """One sender's neighbour row over the ids above `above`, priced from
+        the current positions."""
+        spec, radius, positions = self.sc.channel, self.sc.tx_radius, self.positions
+        if self._cells is None:
+            self._cells = CellList(positions, radius)
         pos = positions[sender]
         row = []
-        for other in self.node_ids:
-            if other != sender:
+        for other in self._cells.near(pos):
+            if other > above and other != sender:
                 per = channel_mod.per_at(spec, radius, pos.distance_to(positions[other]))
                 if per < 1.0:
                     row.append((other, per))
@@ -241,11 +242,6 @@ class Run:
         if actions:
             self._apply_actions(node_id, actions)
 
-    @cached_property
-    def _unit_disk(self) -> dict:
-        """The unit-disk graph of a static run, built once when first needed."""
-        return unit_disk_adjacency(self.positions, self.sc.tx_radius)
-
     def _smf_ttl_for(self, sender: int) -> int:
         """Fair flood TTL for this sender: the minimum reaching every member.
 
@@ -257,9 +253,10 @@ class Run:
         if ttl is None:
             if self._mobile:
                 self._sync_positions()
+            elif self._unit_disk is None:
+                self._unit_disk = unit_disk_adjacency(self.positions, self.sc.tx_radius)
             ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
-                                 source=sender,
-                                 adj=None if self._mobile else self._unit_disk)
+                                 source=sender, adj=self._unit_disk)
             self._smf_ttl_by_sender[sender] = ttl
         if ttl > self.report.smf_ttl:
             self.report.smf_ttl = ttl
@@ -331,6 +328,7 @@ class Run:
                                      self._placement_radius).position
         self._tick = due
         self._neighbor_cache.clear()  # rows priced before the move are stale
+        self._cells = None
 
     def _do_sample(self) -> None:
         if self._mobile:

@@ -132,7 +132,7 @@ def validate_scenario(sc: Scenario) -> list:
         out.append("region_radius: must be positive")
     if sc.outer_radius is not None and sc.outer_radius < sc.region_radius:
         out.append("outer_radius: must be >= region_radius")
-    if sc.tx_radius <= 0:
+    if not sc.tx_radius > 0:  # NaN fails too
         out.append("tx_radius: must be positive")
     if sc.source_ttl < 1:
         out.append("source_ttl: must be >= 1")

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import deque
 
+from .geometry import bfs_hops, unit_disk_adjacency
 from .model import NodeId
 from .packets import Packet
 from .protocol import Deliver, Transmit
@@ -57,35 +57,6 @@ class SmfNode:
 
 
 # --- fair-TTL oracle ------------------------------------------------------
-
-def unit_disk_adjacency(positions: dict, tx_radius: float) -> dict:
-    """positions: NodeId -> Position.  Returns NodeId -> list of neighbors."""
-    ids = sorted(positions)
-    adj = {i: [] for i in ids}
-    r2 = tx_radius * tx_radius
-    for idx, i in enumerate(ids):
-        pi = positions[i]
-        for j in ids[idx + 1:]:
-            pj = positions[j]
-            dx = pi.x - pj.x
-            dy = pi.y - pj.y
-            if dx * dx + dy * dy <= r2:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
-
-
-def bfs_hops(adj: dict, start: NodeId) -> dict:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
 
 def min_ttl_oracle(positions: dict, tx_radius: float, group: set,
                    source: NodeId = None, adj: dict = None) -> int:

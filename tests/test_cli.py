@@ -24,6 +24,22 @@ def test_parse_seeds_forms():
     assert parse_seeds("2") == [2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "SCENARIO", "--seeds", "5..1"],
+    ["compare", "discovery_reach", "--seeds", "5..1"],
+    ["sweep", "discovery_reach", "--param", "source_ttl", "--values", "1",
+     "--seeds", "5..1"],
+    ["check", "discovery_reach", "--seeds", "3..1"],
+    ["check", "discovery_reach", "--seeds", ","],
+])
+def test_empty_seed_list_exits_2(argv, tmp_path, capsys):
+    scenario = str(write_small(tmp_path))
+    assert main([scenario if a == "SCENARIO" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "error: --seeds" in captured.err and "names no seed" in captured.err
+    assert captured.out == ""
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     scenario = write_small(tmp_path)
     out = tmp_path / "out"

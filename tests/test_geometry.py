@@ -1,0 +1,177 @@
+"""Geometry: the cell-list pair search, the graph-free connectivity search and
+the channel's neighbour rows, each against a brute-force reference."""
+
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import small_scenario
+from gcnsim.analytics import connectivity_sample
+from gcnsim.channel import default_curve_points, per_at
+from gcnsim.engine import Run
+from gcnsim.geometry import CellList, unit_disk_adjacency
+from gcnsim.model import ChannelSpec, MobilitySpec, Position
+
+
+# --- brute-force references -----------------------------------------------
+
+def pairwise_adjacency(positions: dict, tx_radius: float) -> dict:
+    """The O(n²) loop the cell list replaced, kept as the reference."""
+    ids = sorted(positions)
+    adj = {i: [] for i in ids}
+    r2 = tx_radius * tx_radius
+    for idx, i in enumerate(ids):
+        pi = positions[i]
+        for j in ids[idx + 1:]:
+            pj = positions[j]
+            dx = pi.x - pj.x
+            dy = pi.y - pj.y
+            if dx * dx + dy * dy <= r2:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj
+
+
+def graph_connectivity(positions, tx_radius, active, source, members) -> float:
+    """Connectivity as it was computed before: unit-disk graph, then BFS."""
+    others = members - {source}
+    if not others:
+        return 1.0
+    sub = {v: positions[v] for v in set(active) | {source} if v in positions}
+    adj = pairwise_adjacency(sub, tx_radius)
+    reach = {source}
+    queue = deque([source] if source in adj else [])
+    while queue:
+        for v in adj[queue.popleft()]:
+            if v not in reach:
+                reach.add(v)
+                queue.append(v)
+    return sum(1 for m in others if m in reach) / len(others)
+
+
+def brute_row(run: Run, sender: int) -> list:
+    spec, r, pos = run.sc.channel, run.sc.tx_radius, run.positions
+    row = []
+    for other in run.node_ids:
+        per = per_at(spec, r, pos[sender].distance_to(pos[other]))
+        if other != sender and per < 1.0:
+            row.append((other, per))
+    return row
+
+
+# --- placements that probe the cell boundaries -----------------------------
+
+@st.composite
+def placements(draw, max_points=40):
+    """(positions, radius): free points at a drawn spread, points on cell
+    edges (multiples of the radius), coincident points, and points moved by
+    exactly the radius along an axis."""
+    r = draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0, 40.0, 750.0])
+             | st.floats(1e-3, 1e3))
+    # a radius wider than the whole region, comparable, or far smaller
+    spread = r * draw(st.sampled_from([1e-3, 0.3, 1.0, 4.0, 1e3]))
+    coord = st.floats(-spread, spread)
+    pts = []
+    for _ in range(draw(st.integers(0, max_points))):
+        kind = draw(st.sampled_from(["free", "edge", "copy", "apart"]))
+        if kind == "free" or (kind != "edge" and not pts):
+            p = Position(draw(coord), draw(coord))
+        elif kind == "edge":
+            p = Position(r * draw(st.integers(-4, 4)), r * draw(st.integers(-4, 4)))
+        else:
+            q = draw(st.sampled_from(pts))
+            if kind == "copy":
+                p = q
+            else:
+                dx, dy = draw(st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r),
+                                               (0.0, -r)]))
+                p = Position(q.x + dx, q.y + dy)
+        pts.append(p)
+    return dict(enumerate(pts)), r
+
+
+@settings(max_examples=400, deadline=None)
+@given(world=placements())
+def test_cell_list_adjacency_equals_pairwise_loop(world):
+    positions, r = world
+    adj = unit_disk_adjacency(positions, r)
+    want = pairwise_adjacency(positions, r)
+    assert adj == want
+    assert list(adj) == list(want)  # keys in id order, as before
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=placements())
+def test_cell_list_block_holds_every_channel_neighbour(world):
+    # the channel's rule is hypot(dx, dy) <= r, not the graph's dx²+dy² <= r²
+    positions, r = world
+    grid = CellList(positions, r)
+    for i, p in positions.items():
+        within = [j for j, q in positions.items() if p.distance_to(q) <= r]
+        assert set(within) <= set(grid.near(p))
+        assert grid.near(p) == sorted(grid.near(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(world=placements(max_points=30), data=st.data())
+def test_connectivity_sample_equals_graph_and_bfs(world, data):
+    positions, r = world
+    ids = st.integers(0, len(positions) + 2)  # a few ids with no position
+    active = data.draw(st.sets(ids))
+    members = data.draw(st.sets(ids))
+    source = data.draw(st.one_of(ids, st.sampled_from(sorted(members) or [0])))
+    assert (connectivity_sample(positions, r, active, source, members)
+            == graph_connectivity(positions, r, active, source, members))
+
+
+def test_connectivity_sample_edge_cases():
+    positions = {0: Position(0.0, 0.0), 1: Position(1.0, 0.0), 2: Position(2.0, 0.0)}
+    # the source relays even when it is not in the active set
+    assert connectivity_sample(positions, 1.0, {1, 2}, 0, {0, 2}) == 1.0
+    assert connectivity_sample(positions, 1.0, {2}, 0, {0, 2}) == 0.0
+    # a source with no position reaches nobody
+    assert connectivity_sample(positions, 1.0, {0, 1, 2}, 9, {9, 2}) == 0.0
+    # a group with no other member is trivially connected
+    assert connectivity_sample(positions, 1.0, set(), 9, {9}) == 1.0
+    assert connectivity_sample(positions, 1.0, set(), 0, set()) == 1.0
+
+
+# --- the channel's neighbour rows ------------------------------------------
+
+_CHANNELS = st.sampled_from([
+    ChannelSpec(flat_per=0.0),
+    ChannelSpec(flat_per=0.3),
+    ChannelSpec(flat_per=1.0),
+    ChannelSpec(flat_per=None, curve_points=default_curve_points()),
+    ChannelSpec(flat_per=0.1, base_loss=0.5),
+    ChannelSpec(flat_per=None, curve_points=default_curve_points(), base_loss=0.25),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel=_CHANNELS, seed=st.integers(0, 2 ** 16),
+       radius=st.sampled_from([5.0, 25.0, 40.0, 70.0, 500.0]),
+       users=st.integers(1, 60))
+def test_static_table_equals_brute_force_rows(channel, seed, radius, users):
+    sc = small_scenario(num_users=users, group_prob=1.0, tx_radius=radius,
+                        channel=channel)
+    run = Run(sc, seed, collect_trace=False)
+    assert run._neighbor_cache == {s: brute_row(run, s) for s in run.node_ids}
+
+
+@settings(max_examples=30, deadline=None)
+@given(channel=_CHANNELS, seed=st.integers(0, 2 ** 16),
+       radius=st.sampled_from([10.0, 40.0, 70.0]))
+def test_mobile_rows_equal_brute_force_rows(channel, seed, radius):
+    sc = small_scenario(num_users=40, group_prob=1.0, tx_radius=radius,
+                        channel=channel, duration=4.0,
+                        mobility=MobilitySpec(kind="random_waypoint",
+                                              speed_min=5.0, speed_max=20.0,
+                                              pause_min=0.0, pause_max=0.5))
+    run = Run(sc, seed, collect_trace=False)
+    for now in (0.0, 0.35, 1.0, 3.95):
+        run.now = now
+        run._sync_positions()
+        for s in run.node_ids:
+            assert run._neighbor_row(s) == brute_row(run, s)

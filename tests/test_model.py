@@ -140,6 +140,7 @@ def test_default_scenario_is_valid():
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
     (dict(timing=TimingParams(refresh_bytes=-1)), "timing.refresh_bytes"),
+    (dict(tx_radius=float("nan")), "tx_radius"),
 ])
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)
