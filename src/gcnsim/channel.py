@@ -1,5 +1,5 @@
-"""Broadcast channel: transmit radius plus a distance-dependent packet error
-rate, with an optional flat interference-loss overlay.
+"""Broadcast channel: a distance-dependent packet error rate over the pairs
+geometry puts in range, with an optional flat interference-loss overlay.
 
 The overlay follows the success-rate scaling rule: the effective success
 probability at distance d is (1 - base_loss) * (1 - per(d)).
@@ -41,11 +41,9 @@ def _curve_per(points: list, d: float) -> float:
     return points[-1][1]
 
 
-def per_at(spec: ChannelSpec, tx_radius: float, d: float) -> float:
-    """Packet error rate at distance d, including the base-loss overlay;
-    certain loss beyond the scenario's transmit radius."""
-    if d > tx_radius:
-        return 1.0
+def per_at(spec: ChannelSpec, d: float) -> float:
+    """Packet error rate at distance d, including the base-loss overlay, for
+    a pair already in range."""
     if spec.flat_per is not None:
         per = spec.flat_per
     elif spec.curve_points:

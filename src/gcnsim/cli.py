@@ -23,8 +23,12 @@ from .presets import PRESETS, get_preset
 def parse_seeds(spec: str) -> list:
     """'a..b' (inclusive) or a comma-separated list of integers; never empty."""
     lo, dots, hi = spec.partition("..")
-    seeds = (list(range(int(lo), int(hi) + 1)) if dots
-             else [int(s) for s in spec.split(",") if s.strip()])
+    try:
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(s) for s in spec.split(",") if s.strip()])
+    except ValueError:
+        raise ConfigurationError(f"--seeds {spec!r} is not 'a..b' or a list of "
+                                 "integers") from None
     if not seeds:
         raise ConfigurationError(f"--seeds {spec!r} names no seed")
     return seeds
@@ -146,16 +150,19 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
     if not hasattr(target, leaf):
         raise ConfigurationError(f"unknown scenario parameter {name!r}")
     current = getattr(target, leaf)
-    if raw.lower() in ("none", "null"):
-        value = None
-    elif isinstance(current, bool):
-        value = raw.lower() in ("1", "true", "yes")
-    elif isinstance(current, int) and not isinstance(current, bool):
-        value = int(raw)
-    elif isinstance(current, float) or current is None:
-        value = float(raw)
-    else:
-        value = raw
+    try:
+        if raw.lower() in ("none", "null"):
+            value = None
+        elif isinstance(current, bool):
+            value = raw.lower() in ("1", "true", "yes")
+        elif isinstance(current, int):
+            value = int(raw)
+        elif isinstance(current, float) or current is None:
+            value = float(raw)
+        else:
+            value = raw
+    except ValueError:
+        raise ConfigurationError(f"--values {raw!r} is not a valid {name!r}") from None
     setattr(target, leaf, value)
 
 
@@ -169,11 +176,7 @@ def cmd_sweep(args) -> int:
     try:
         for raw in values:
             scenario = copy.deepcopy(preset.scenario)
-            try:
-                _set_param(scenario, args.param, raw)
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            _set_param(scenario, args.param, raw)  # main reports a bad value
             violations = validate_scenario(scenario)
             if violations:
                 for v in violations:

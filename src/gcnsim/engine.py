@@ -87,16 +87,16 @@ class Run:
                 self._movers.append((nid, init_motion(
                     scenario.mobility, self.positions[nid], 0.0, rng,
                     self._placement_radius), rng))
-        # node id -> [(neighbour id, per)] in id order, over every neighbour
-        # the channel can reach from the current positions; a mobile run
-        # prices a sender's row when it first transmits after a move, from a
-        # cell list of the current positions built when first needed
+        # Geometry state of the current positions, each built on first use
+        # and dropped together by `_sync_positions`: the cell list, the
+        # unit-disk graph, and node id -> [(neighbour id, per)] in id order
+        # over every neighbour the channel can reach (a mobile run prices a
+        # sender's row when it first transmits after a move).  Plain
+        # attributes, not cached properties: reading `__dict__` would slow
+        # every attribute read for the rest of the run
         self._cells = None
-        self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
-        # a static run's unit-disk graph, built once for the flood-TTL oracle.
-        # Both are plain attributes, not cached properties: reading `__dict__`
-        # would slow every attribute read for the rest of the run
         self._unit_disk = None
+        self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
 
         self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
                                     num_members=len(self.members), source=self.source)
@@ -121,18 +121,25 @@ class Run:
 
     def _neighbor_row(self, sender: int, above: int = -1) -> list:
         """One sender's neighbour row over the ids above `above`, priced from
-        the current positions."""
-        spec, radius, positions = self.sc.channel, self.sc.tx_radius, self.positions
+        the current positions; certain-loss pairs are left out."""
+        spec, positions = self.sc.channel, self.positions
         if self._cells is None:
-            self._cells = CellList(positions, radius)
+            self._cells = CellList(positions, self.sc.tx_radius)
         pos = positions[sender]
         row = []
-        for other in self._cells.near(pos):
-            if other > above and other != sender:
-                per = channel_mod.per_at(spec, radius, pos.distance_to(positions[other]))
-                if per < 1.0:
-                    row.append((other, per))
+        for other in self._cells.in_range(sender, above):
+            per = channel_mod.per_at(spec, pos.distance_to(positions[other]))
+            if per < 1.0:
+                row.append((other, per))
         return row
+
+    def _graph(self) -> dict:
+        """The unit-disk graph of the current positions."""
+        if self._mobile:
+            self._sync_positions()
+        if self._unit_disk is None:
+            self._unit_disk = unit_disk_adjacency(self.positions, self.sc.tx_radius)
+        return self._unit_disk
 
     def _push(self, time: float, kind: int, a=None, b=None) -> None:
         self._seq += 1
@@ -251,12 +258,8 @@ class Run:
         """
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:
-            if self._mobile:
-                self._sync_positions()
-            elif self._unit_disk is None:
-                self._unit_disk = unit_disk_adjacency(self.positions, self.sc.tx_radius)
             ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
-                                 source=sender, adj=self._unit_disk)
+                                 sender, adj=self._graph())
             self._smf_ttl_by_sender[sender] = ttl
         if ttl > self.report.smf_ttl:
             self.report.smf_ttl = ttl
@@ -327,8 +330,9 @@ class Run:
             positions[nid] = advance(mob, state, start, span, rng,
                                      self._placement_radius).position
         self._tick = due
-        self._neighbor_cache.clear()  # rows priced before the move are stale
-        self._cells = None
+        # everything derived from the old positions is stale
+        self._neighbor_cache.clear()
+        self._cells = self._unit_disk = None
 
     def _do_sample(self) -> None:
         if self._mobile:
@@ -340,7 +344,7 @@ class Run:
                                        active, self.source, self.members)
             self.report.connectivity_series.append((self.now, frac))
         elif self._mobile:
-            adj = unit_disk_adjacency(self.positions, self.sc.tx_radius)
+            adj = self._graph()
             for s in sorted(self.members):
                 dist = bfs_hops(adj, s)
                 ecc = max((dist[m] for m in self.members if m in dist), default=0)

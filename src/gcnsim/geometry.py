@@ -1,10 +1,7 @@
-"""Who is within the radius: the cell list behind the channel's neighbour
-rows and the unit-disk graph, the graph's BFS, and the connectivity reach.
-
-Two range rules are in use: the channel keeps a pair with
-`per_at(spec, r, math.hypot(dx, dy)) < 1` (certain loss once `hypot > r`),
-the unit-disk graph links a pair with `dx*dx + dy*dy <= r*r`.  Rounding
-makes them disagree on about one pair in six placed exactly `r` apart.
+"""Who is within the radius, decided here and nowhere else, by one rule:
+`dx*dx + dy*dy <= r*r`.  The cell list answers it for one node (the
+channel's neighbour rows), `unit_disk_adjacency` for every pair, and
+`reached_count` along a connectivity search that builds no graph.
 """
 
 from __future__ import annotations
@@ -17,38 +14,41 @@ _WIDEN = 1.0 + 1e-6
 
 
 class CellList:
-    """Node ids bucketed on square cells at least one radius wide, so every
-    pair within the radius (by either rule) lies in one 3×3 block of cells."""
+    """Node positions bucketed on square cells at least one radius wide, so
+    every pair in range lies in one 3×3 block of cells."""
 
     def __init__(self, positions: dict, radius: float):
+        self.positions = positions
         self.width = radius * _WIDEN
+        self.r2 = radius * radius
         self.cells = defaultdict(list)
         for nid, p in positions.items():
-            self.cells[self._cell(p)].append(nid)
+            self.cells[self._cell(p)].append((nid, p.x, p.y))
 
     def _cell(self, p) -> tuple:
         return math.floor(p.x / self.width), math.floor(p.y / self.width)
 
-    def near(self, p) -> list:
-        """Every id in the 3×3 block around `p`, sorted: those in range and more."""
+    def in_range(self, nid: int, above: int = -1) -> list:
+        """The ids in range of node `nid`, sorted, over the ids above `above`."""
+        p = self.positions[nid]
+        x, y, r2 = p.x, p.y, self.r2
         cx, cy = self._cell(p)
-        return sorted([nid for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                       for nid in self.cells.get((i, j), ())])
+        found = [j for i in (cx - 1, cx, cx + 1) for k in (cy - 1, cy, cy + 1)
+                 for j, qx, qy in self.cells.get((i, k), ())
+                 if j > above and j != nid
+                 and (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2]
+        found.sort()
+        return found
 
 
 def unit_disk_adjacency(positions: dict, tx_radius: float) -> dict:
     """positions: NodeId -> Position.  Returns NodeId -> neighbours by id."""
     adj = {i: [] for i in sorted(positions)}
     grid = CellList(positions, tx_radius)
-    r2 = tx_radius * tx_radius
     for i, row in adj.items():
-        pi = positions[i]
-        for j in grid.near(pi):
-            if j > i:
-                dx, dy = pi.x - positions[j].x, pi.y - positions[j].y
-                if dx * dx + dy * dy <= r2:
-                    row.append(j)
-                    adj[j].append(i)
+        for j in grid.in_range(i, above=i):
+            row.append(j)
+            adj[j].append(i)
     return adj
 
 

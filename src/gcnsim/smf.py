@@ -59,31 +59,20 @@ class SmfNode:
 # --- fair-TTL oracle ------------------------------------------------------
 
 def min_ttl_oracle(positions: dict, tx_radius: float, group: set,
-                   source: NodeId = None, adj: dict = None) -> int:
+                   source: NodeId, adj: dict = None) -> int:
     """Smallest TTL letting a flood from `source` reach every group member.
 
-    With `source` None the worst case over all member senders is returned,
-    which on the loss-free unit-disk graph is the group's hop diameter.
-    If part of the group is unreachable, the TTL covering the largest
-    reachable subset is returned with a warning.  `adj` is the unit-disk
-    graph of `positions` when the caller already has it; it is built here
-    when None.
+    If part of the group is unreachable, the TTL covering the reachable
+    members is returned with a warning.  `adj` is the unit-disk graph of
+    `positions` when the caller already has it; it is built here when None.
     """
     if not group:
         raise ValueError("empty group")
     if adj is None:
         adj = unit_disk_adjacency(positions, tx_radius)
-    senders = [source] if source is not None else sorted(group)
-    best = 0
-    disconnected = False
-    for s in senders:
-        dist = bfs_hops(adj, s)
-        reachable = [dist[m] for m in group if m in dist]
-        if len(reachable) < len(group):
-            disconnected = True
-        if reachable:
-            best = max(best, max(reachable))
-    if disconnected:
+    dist = bfs_hops(adj, source)
+    reachable = [dist[m] for m in group if m in dist]
+    if len(reachable) < len(group):
         warnings.warn("group is not connected on the unit-disk graph; "
                       "returning TTL for the largest reachable subset")
-    return best
+    return max(reachable, default=0)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import gcnsim.engine as engine_mod
 from gcnsim.model import (ChannelSpec, MobilitySpec, Position, Scenario,
                           TimingParams, TrafficFlow, TrafficSpec)
 from gcnsim.protocol import GcnNode, SendAck, Transmit
@@ -35,6 +36,16 @@ def line_positions(n: int, spacing: float = 30.0) -> dict:
     """n nodes on a line, each within radio range only of its neighbors
     when tx_radius is in [spacing, 2*spacing)."""
     return {i: Position(i * spacing, 0.0) for i in range(n)}
+
+
+def run_on(monkeypatch, positions: dict, **overrides) -> engine_mod.Run:
+    """A static Run placed on `positions`: every node a member, the lowest id
+    the source."""
+    nodes = [(nid, p, True) for nid, p in sorted(positions.items())]
+    monkeypatch.setattr(engine_mod, "build_world",
+                        lambda sc, seed: (nodes, min(positions)))
+    sc = small_scenario(num_users=len(positions), group_prob=1.0, **overrides)
+    return engine_mod.Run(sc, 0, collect_trace=False)
 
 
 def make_node(node_id=0, is_member=False, source_ttl=3, desired_relays=1,

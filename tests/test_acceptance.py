@@ -15,7 +15,10 @@ import math
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
+from multiprocessing import get_context
 
 from gcnsim.analytics import (discovered_member_fraction,
                               discovery_reach_set, mc_discovery_oracle,
@@ -34,8 +37,12 @@ def seeds(fast_count: int) -> list:
 
 
 def batch(scenario, seed_list):
-    return [run_scenario(scenario, s, collect_trace=False)[1]
-            for s in seed_list]
+    """Reports in seed order; a run is a pure function of (scenario, seed),
+    so mapping the seeds over a pool changes no report."""
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=get_context("spawn")) as pool:
+        return [report for _trace, report in pool.map(
+            partial(run_scenario, scenario, collect_trace=False), seed_list)]
 
 
 def mean(values):

@@ -6,54 +6,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_on
 from gcnsim.channel import default_curve_points, hearers, per_at
-from gcnsim.model import ChannelSpec
+from gcnsim.geometry import unit_disk_adjacency
+from gcnsim.model import ChannelSpec, Position
 
 
 def test_flat_per_inside_radius():
     spec = ChannelSpec(flat_per=0.25)
-    assert per_at(spec, 40.0, 0.0) == pytest.approx(0.25)
-    assert per_at(spec, 40.0, 40.0) == pytest.approx(0.25)
+    assert per_at(spec, 0.0) == pytest.approx(0.25)
+    assert per_at(spec, 40.0) == pytest.approx(0.25)
 
 
-def test_beyond_radius_is_certain_loss():
-    spec = ChannelSpec(flat_per=0.0)
-    assert per_at(spec, 40.0, 40.000001) == 1.0
-    assert per_at(spec, 40.0, 1000.0) == 1.0
+def test_beyond_radius_is_certain_loss(monkeypatch):
+    # geometry decides range: a node just past the radius is in no neighbour
+    # row and has no unit-disk edge
+    positions = {0: Position(0.0, 0.0), 1: Position(40.000001, 0.0),
+                 2: Position(0.0, -1000.0)}
+    run = run_on(monkeypatch, positions, tx_radius=40.0)
+    assert run._neighbor_cache == {0: [], 1: [], 2: []}
+    assert unit_disk_adjacency(positions, 40.0) == {0: [], 1: [], 2: []}
 
 
 def test_base_loss_scaling_arithmetic():
     # success = (1 - base_loss) * (1 - per): per 0.5 under 40% extra loss
     # gives success 0.6 * 0.5 = 0.3, so effective per = 0.7
     spec = ChannelSpec(flat_per=0.5, base_loss=0.4)
-    assert per_at(spec, 40.0, 10.0) == pytest.approx(0.7)
+    assert per_at(spec, 10.0) == pytest.approx(0.7)
     # base loss alone maps a clean link to exactly that loss rate
     spec = ChannelSpec(flat_per=0.0, base_loss=0.25)
-    assert per_at(spec, 40.0, 10.0) == pytest.approx(0.25)
+    assert per_at(spec, 10.0) == pytest.approx(0.25)
     # saturation: certain loss stays certain under scaling
     spec = ChannelSpec(flat_per=1.0, base_loss=0.3)
-    assert per_at(spec, 40.0, 10.0) == pytest.approx(1.0)
+    assert per_at(spec, 10.0) == pytest.approx(1.0)
 
 
 def test_no_curve_no_flat_means_lossless_in_range():
     spec = ChannelSpec(flat_per=None, curve_points=None)
-    assert per_at(spec, 40.0, 10.0) == 0.0
+    assert per_at(spec, 10.0) == 0.0
 
 
 def test_default_curve_endpoints():
     pts = default_curve_points()
     spec = ChannelSpec(flat_per=None, curve_points=pts)
-    assert per_at(spec, 100.0, 5.0) == pytest.approx(0.0)
-    assert per_at(spec, 100.0, 20.0) == pytest.approx(0.0)
-    assert per_at(spec, 100.0, 60.0) == pytest.approx(1.0)
-    assert 0.0 < per_at(spec, 100.0, 40.0) < 1.0
+    assert per_at(spec, 5.0) == pytest.approx(0.0)
+    assert per_at(spec, 20.0) == pytest.approx(0.0)
+    assert per_at(spec, 60.0) == pytest.approx(1.0)
+    assert 0.0 < per_at(spec, 40.0) < 1.0
 
 
 def test_curve_interpolates_linearly():
     spec = ChannelSpec(flat_per=None,
                        curve_points=[(10.0, 0.0), (20.0, 1.0)])
-    assert per_at(spec, 100.0, 15.0) == pytest.approx(0.5)
-    assert per_at(spec, 100.0, 12.5) == pytest.approx(0.25)
+    assert per_at(spec, 15.0) == pytest.approx(0.5)
+    assert per_at(spec, 12.5) == pytest.approx(0.25)
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,21 +69,21 @@ def test_per_monotone_in_distance_and_base_loss(d1, d2, bl):
     spec = ChannelSpec(flat_per=None,
                        curve_points=default_curve_points(), base_loss=bl)
     lo, hi = sorted((d1, d2))
-    assert per_at(spec, 100.0, lo) <= per_at(spec, 100.0, hi) + 1e-12
+    assert per_at(spec, lo) <= per_at(spec, hi) + 1e-12
     spec0 = ChannelSpec(flat_per=None,
                         curve_points=default_curve_points(), base_loss=0.0)
-    assert per_at(spec0, 100.0, d1) <= per_at(spec, 100.0, d1) + 1e-12
+    assert per_at(spec0, d1) <= per_at(spec, d1) + 1e-12
 
 
 def test_flat_per_wins_over_curve():
     spec = ChannelSpec(flat_per=0.1,
                        curve_points=[(0.0, 0.9), (100.0, 0.9)])
-    assert per_at(spec, 100.0, 50.0) == pytest.approx(0.1)
+    assert per_at(spec, 50.0) == pytest.approx(0.1)
 
 
 def test_broadcast_bernoulli_rate():
     rng = random.Random(0)
-    row = [(1, per_at(ChannelSpec(flat_per=0.5), 40.0, 10.0))]
+    row = [(1, per_at(ChannelSpec(flat_per=0.5), 10.0))]
     hits = sum(hearers(row, rng) == [1] for _ in range(10000))
     assert abs(hits / 10000 - 0.5) < 0.02
 
@@ -96,9 +102,11 @@ def test_broadcast_deterministic_under_same_stream():
     assert rng.random() == ref.random()
 
 
-def test_broadcast_excludes_out_of_range():
-    spec = ChannelSpec(flat_per=0.0)
-    assert per_at(spec, 40.0, 30.0) == 0.0
-    assert per_at(spec, 40.0, 50.0) == 1.0
+def test_broadcast_excludes_out_of_range(monkeypatch):
+    positions = {0: Position(0.0, 0.0), 1: Position(30.0, 0.0),
+                 2: Position(-50.0, 0.0)}
+    run = run_on(monkeypatch, positions, tx_radius=40.0)
+    assert run._neighbor_cache == {0: [(1, 0.0)], 1: [(0, 0.0)], 2: []}
+    assert unit_disk_adjacency(positions, 40.0) == {0: [1], 1: [0], 2: []}
     # rows hold only entries with per < 1, and a lossless entry always hears
-    assert hearers([(1, 0.0)], random.Random(0)) == [1]
+    assert hearers(run._neighbor_cache[0], random.Random(0)) == [1]

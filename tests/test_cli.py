@@ -24,19 +24,27 @@ def test_parse_seeds_forms():
     assert parse_seeds("2") == [2]
 
 
-@pytest.mark.parametrize("argv", [
+EMPTY_SEEDS = [
     ["run", "SCENARIO", "--seeds", "5..1"],
     ["compare", "discovery_reach", "--seeds", "5..1"],
     ["sweep", "discovery_reach", "--param", "source_ttl", "--values", "1",
      "--seeds", "5..1"],
     ["check", "discovery_reach", "--seeds", "3..1"],
     ["check", "discovery_reach", "--seeds", ","],
-])
+]
+MALFORMED_SEEDS = [
+    ["check", "discovery_reach", "--seeds", "1..x"],
+    ["run", "SCENARIO", "--seeds", "0,y"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_SEEDS + MALFORMED_SEEDS)
 def test_empty_seed_list_exits_2(argv, tmp_path, capsys):
     scenario = str(write_small(tmp_path))
     assert main([scenario if a == "SCENARIO" else a for a in argv]) == 2
     captured = capsys.readouterr()
-    assert "error: --seeds" in captured.err and "names no seed" in captured.err
+    why = "names no seed" if argv in EMPTY_SEEDS else "is not 'a..b' or a list"
+    assert "error: --seeds" in captured.err and why in captured.err
     assert captured.out == ""
 
 
@@ -139,6 +147,16 @@ def test_sweep_invalid_value_exits_2(capsys):
     assert main(["sweep", "discovery_reach", "--param", "source_ttl",
                  "--values", "0", "--seeds", "0"]) == 2
     assert "invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, raw", [("tx_radius", "abc"),
+                                        ("source_ttl", "2.5")])
+def test_sweep_malformed_value_exits_2(param, raw, capsys):
+    assert main(["sweep", "discovery_reach", "--param", param,
+                 "--values", raw, "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --values {raw!r} is not a valid {param!r}" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_preset_exits_2(capsys):

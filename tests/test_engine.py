@@ -208,6 +208,27 @@ def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
     assert built == [sc.num_users]
 
 
+def test_mobile_flood_builds_one_graph_per_tick(monkeypatch):
+    # the flood-TTL oracle and the sample at t = 1 share one graph
+    sc = small_scenario(
+        protocol="smf", duration=4.0,
+        mobility=MobilitySpec(kind="random_waypoint", speed_min=1.0,
+                              speed_max=5.0, pause_min=0.0, pause_max=0.5),
+        traffic=flows(one_to_all_flow(senders="all_members", start=1.0, stop=3.0)))
+    run = Run(sc, 0)
+    real, ticks = smf_mod.unit_disk_adjacency, []
+
+    def counting(positions, tx_radius):
+        ticks.append(run._tick)
+        return real(positions, tx_radius)
+
+    monkeypatch.setattr(engine_mod, "unit_disk_adjacency", counting)
+    monkeypatch.setattr(smf_mod, "unit_disk_adjacency", counting)
+    run.run()
+    assert run.report.smf_ttl >= 1
+    assert ticks == [10, 20, 30, 40]
+
+
 # --- channel neighbour table ----------------------------------------------
 
 def test_pairwise_table_matches_rows_priced_one_sender_at_a_time():

@@ -1,12 +1,15 @@
 """Geometry: the cell-list pair search, the graph-free connectivity search and
 the channel's neighbour rows, each against a brute-force reference."""
 
+import math
+import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_scenario
+from conftest import run_on, small_scenario
 from gcnsim.analytics import connectivity_sample
 from gcnsim.channel import default_curve_points, per_at
 from gcnsim.engine import Run
@@ -54,9 +57,11 @@ def brute_row(run: Run, sender: int) -> list:
     spec, r, pos = run.sc.channel, run.sc.tx_radius, run.positions
     row = []
     for other in run.node_ids:
-        per = per_at(spec, r, pos[sender].distance_to(pos[other]))
-        if other != sender and per < 1.0:
-            row.append((other, per))
+        dx, dy = pos[sender].x - pos[other].x, pos[sender].y - pos[other].y
+        if other != sender and dx * dx + dy * dy <= r * r:
+            per = per_at(spec, pos[sender].distance_to(pos[other]))
+            if per < 1.0:
+                row.append((other, per))
     return row
 
 
@@ -102,15 +107,15 @@ def test_cell_list_adjacency_equals_pairwise_loop(world):
 
 
 @settings(max_examples=200, deadline=None)
-@given(world=placements())
-def test_cell_list_block_holds_every_channel_neighbour(world):
-    # the channel's rule is hypot(dx, dy) <= r, not the graph's dx²+dy² <= r²
+@given(world=placements(), data=st.data())
+def test_cell_list_query_equals_brute_force_in_range_set(world, data):
     positions, r = world
     grid = CellList(positions, r)
-    for i, p in positions.items():
-        within = [j for j, q in positions.items() if p.distance_to(q) <= r]
-        assert set(within) <= set(grid.near(p))
-        assert grid.near(p) == sorted(grid.near(p))
+    want = pairwise_adjacency(positions, r)
+    above = data.draw(st.integers(-1, len(positions)))
+    for i in positions:
+        assert grid.in_range(i) == want[i]
+        assert grid.in_range(i, above) == [j for j in want[i] if j > above]
 
 
 @settings(max_examples=400, deadline=None)
@@ -175,3 +180,26 @@ def test_mobile_rows_equal_brute_force_rows(channel, seed, radius):
         run._sync_positions()
         for s in run.node_ids:
             assert run._neighbor_row(s) == brute_row(run, s)
+
+
+@pytest.mark.parametrize("channel", [
+    ChannelSpec(flat_per=0.3),
+    ChannelSpec(flat_per=None, curve_points=default_curve_points()),
+    ChannelSpec(flat_per=0.1, base_loss=0.5),
+])
+def test_pairs_one_radius_apart_are_heard_exactly_when_linked(channel, monkeypatch):
+    # q = p + r·(cos θ, sin θ) lands on either side of dx²+dy² <= r² by
+    # rounding; the channel row and the graph must agree on every pair
+    r, rng, positions = 40.0, random.Random(8), {}
+    for k in range(200):  # pairs 6r apart, so no two pairs are in range
+        p = Position(6 * r * k + rng.uniform(-r, r), rng.uniform(-r, r))
+        theta = rng.uniform(0.0, 2 * math.pi)
+        positions[2 * k] = p
+        positions[2 * k + 1] = Position(p.x + r * math.cos(theta),
+                                        p.y + r * math.sin(theta))
+    run = run_on(monkeypatch, positions, tx_radius=r, channel=channel)
+    adj = unit_disk_adjacency(positions, r)
+    assert 0 < sum(bool(adj[2 * k]) for k in range(200)) < 200  # both sides occur
+    for a in positions:
+        assert [b for b, _ in run._neighbor_cache[a]] == adj[a]
+        assert run._neighbor_row(a) == run._neighbor_cache[a]

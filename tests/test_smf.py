@@ -100,7 +100,6 @@ def test_min_ttl_on_a_line():
     group = {0, 5}
     assert min_ttl_oracle(positions, 30.0, group, source=0) == 5
     assert min_ttl_oracle(positions, 30.0, group, source=2) == 3
-    assert min_ttl_oracle(positions, 30.0, group) == 5  # worst case over members
 
 
 def test_min_ttl_matches_independent_shortest_paths():
@@ -178,4 +177,4 @@ def test_min_ttl_disconnected_group_warns():
 
 def test_min_ttl_empty_group_raises():
     with pytest.raises(ValueError):
-        min_ttl_oracle({0: Position(0, 0)}, 30.0, set())
+        min_ttl_oracle({0: Position(0, 0)}, 30.0, set(), source=0)
