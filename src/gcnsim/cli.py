@@ -5,6 +5,7 @@ world, sweep parameters, and regression-check the shipped presets.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -170,25 +171,26 @@ def cmd_sweep(args) -> int:
     preset = get_preset(args.preset)
     seeds = parse_seeds(args.seeds) if args.seeds else preset.scenario.seeds
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    out_fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    writer = csv.writer(out_fh)
-    writer.writerow(["param", "value", "seed", "metric", "metric_value"])
-    try:
-        for raw in values:
-            scenario = copy.deepcopy(preset.scenario)
-            _set_param(scenario, args.param, raw)  # main reports a bad value
-            violations = validate_scenario(scenario)
-            if violations:
-                for v in violations:
-                    print(f"invalid scenario for {args.param}={raw}: {v}",
-                          file=sys.stderr)
-                return 2
+    if not values:
+        raise ConfigurationError(f"--values {args.values!r} names no value")
+    scenarios = []  # every value is checked before the header is written
+    for raw in values:
+        scenario = copy.deepcopy(preset.scenario)
+        _set_param(scenario, args.param, raw)  # main reports a bad value
+        violations = validate_scenario(scenario)
+        for v in violations:
+            print(f"invalid scenario for {args.param}={raw}: {v}", file=sys.stderr)
+        if violations:
+            return 2
+        scenarios.append((raw, scenario))
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out_fh:
+        writer = csv.writer(out_fh)
+        writer.writerow(["param", "value", "seed", "metric", "metric_value"])
+        for raw, scenario in scenarios:
             for seed, _trace, report in run_batch(scenario, seeds):
                 for metric, value in sorted(report.to_scalars().items()):
                     writer.writerow([args.param, raw, seed, metric, value])
-    finally:
-        if args.out:
-            out_fh.close()
     return 0
 
 

@@ -14,6 +14,14 @@ with probability (R-1)/(N-1), where N is its locally counted neighbor count
 and R the desired relay density.  Data forwarding is either one-to-all over
 the elected relays, or corridor-confined toward specific destinations using
 per-destination hop-count gradients and a maximum-retransmit-distance field.
+
+Each handler records the hop distance to the packet's origin
+(`update_distance`, the one distance rule), then returns at the first test
+that settles a copy.  `on_data` delivers once (to listed destinations; for
+one-to-all, to members), then drops a duplicate, a copy at a non-forwarder
+and a pruned corridor; `on_discovery` drops a spent TTL or a duplicate at a
+non-member, a duplicate at a member; `on_ack` drops a stale epoch, a relay's
+copy and an unelected hearer's.
 """
 
 from __future__ import annotations
@@ -141,10 +149,6 @@ class GcnNode:
     def _ack_delay(self) -> float:
         return self.rng.uniform(0.5 * self.ack_delay_max, self.ack_delay_max)
 
-    @property
-    def forwards_data(self) -> bool:
-        return self.is_relay or (self.is_member and self.members_forward_data)
-
     # -- distance table ----------------------------------------------------
 
     def update_distance(self, pkt: Packet) -> None:
@@ -195,22 +199,10 @@ class GcnNode:
             self.neighbor_senders.add(sender)
         if self.upstream is None:
             self.upstream = sender
-        actions = []
         best_sent = self.disc_sent.get(pkt.msg_id, -1)
-        if self.is_member:
-            if best_sent < 0:
-                # regenerate at the full source TTL (once; it cannot improve)
-                out = Packet(kind="discovery", group=self.group,
-                             origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
-                             msg_id=pkt.msg_id, epoch=pkt.epoch,
-                             ttl=self.source_ttl)
-                self.disc_sent[pkt.msg_id] = self.source_ttl
-                actions.append(Transmit(out, self._jitter()))
-                self.transmitted_discovery = True
-            if not self.acked:
-                self.acked = True
-                actions.append(SendAck(self._ack_delay()))
-        elif pkt.ttl >= 1 and pkt.ttl - 1 > best_sent:
+        if not self.is_member:
+            if pkt.ttl < 1 or pkt.ttl - 1 <= best_sent:
+                return []  # TTL spent, or duplicate: no larger budget than a copy sent
             # forward with the decremented budget; a copy arriving later with
             # a larger budget than anything sent so far is forwarded again,
             # so the reachable set does not depend on arrival order
@@ -218,8 +210,23 @@ class GcnNode:
                          hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
                          epoch=pkt.epoch, ttl=pkt.ttl - 1)
             self.disc_sent[pkt.msg_id] = pkt.ttl - 1
+            self.transmitted_discovery = True
+            return [Transmit(out, self._jitter())]
+        if best_sent >= 0 and self.acked:
+            return []  # duplicate: regenerated and acknowledged already
+        actions = []
+        if best_sent < 0:
+            # regenerate at the full source TTL (once; it cannot improve)
+            out = Packet(kind="discovery", group=self.group,
+                         origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
+                         msg_id=pkt.msg_id, epoch=pkt.epoch,
+                         ttl=self.source_ttl)
+            self.disc_sent[pkt.msg_id] = self.source_ttl
             actions.append(Transmit(out, self._jitter()))
             self.transmitted_discovery = True
+        if not self.acked:
+            self.acked = True
+            actions.append(SendAck(self._ack_delay()))
         return actions
 
     # -- relay election ----------------------------------------------------
@@ -294,42 +301,46 @@ class GcnNode:
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         self.update_distance(pkt)
-        actions = []
+        msg_id = pkt.msg_id
         pairs = pkt.destinations
-        one_to_all = not pairs
-        is_dest = not one_to_all and any(dest == self.node_id for dest, _ in pairs)
-        if pkt.msg_id not in self.delivered:
-            if is_dest or (one_to_all and self.is_member):
-                self.delivered.add(pkt.msg_id)
-                actions.append(Deliver(pkt.msg_id))
-        if is_dest:
-            # a destination drops itself before any retransmission
-            pairs = [(dest, mrd) for dest, mrd in pairs if dest != self.node_id]
-        if pkt.msg_id in self.dup_cache:
-            return actions
-        if one_to_all:
-            # group-wide dissemination rides on the elected relay set
-            if not self.forwards_data:
-                return actions
-            out_pairs = []
-        elif not (self.is_relay or self.is_member):
-            return actions
-        else:
+        if pairs:
+            node_id = self.node_id
+            deliver = False
+            for dest, _ in pairs:
+                if dest == node_id:
+                    # a destination drops itself before any retransmission
+                    deliver = True
+                    pairs = [(dest, mrd) for dest, mrd in pairs if dest != node_id]
+                    break
             # corridor forwarding is done by relays and group members
-            out_pairs = []
+            forward = msg_id not in self.dup_cache and (self.is_relay or self.is_member)
+        else:
+            # one-to-all: members deliver, the elected relay set forwards
+            deliver = self.is_member
+            forward = msg_id not in self.dup_cache and (
+                self.is_relay or (deliver and self.members_forward_data))
+        if deliver and msg_id not in self.delivered:
+            self.delivered.add(msg_id)
+            actions = [Deliver(msg_id)]
+        else:
+            actions = []
+        if not forward:
+            return actions  # duplicate, or not a forwarder
+        out_pairs = []
+        if pkt.destinations:  # targeted, even when this node was the only pair
             for dest, mrd in pairs:
                 d = self.distance_to(dest)
                 if d is not None and mrd >= d:
                     out_pairs.append((dest, d - 1))
             if not out_pairs:
-                # no surviving corridor from this copy; a later copy may
-                # still qualify, so the duplicate cache is left untouched
+                # corridor pruned: a later copy may still qualify, so the
+                # duplicate cache is left untouched
                 return actions
         out = Packet(kind="data", group=self.group, origin=pkt.origin,
-                     hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+                     hop_counter=pkt.hop_counter + 1, msg_id=msg_id,
                      epoch=pkt.epoch, destinations=out_pairs,
                      payload_bytes=pkt.payload_bytes)
-        self.dup_cache.add(pkt.msg_id)
+        self.dup_cache.add(msg_id)
         actions.append(Transmit(out, self._jitter()))
         return actions
 

@@ -41,16 +41,16 @@ class SmfNode:
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.msg_id in self.dup_cache:
-            return []
+            return []  # duplicate
         self.dup_cache.add(pkt.msg_id)
-        actions = []
-        is_dest = any(d == self.node_id for d, _ in pkt.destinations)
-        if is_dest or (not pkt.destinations and self.is_member):
-            actions.append(Deliver(pkt.msg_id))
-        if pkt.smf_ttl > 0:
+        dests = pkt.destinations
+        # a copy without a destination list is for every member
+        is_dest = any(d == self.node_id for d, _ in dests) if dests else self.is_member
+        actions = [Deliver(pkt.msg_id)] if is_dest else []
+        if pkt.smf_ttl > 0:  # else TTL spent
             out = Packet(kind="data", group=pkt.group, origin=pkt.origin,
                          hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                         destinations=pkt.destinations,
+                         destinations=dests,
                          payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)
             actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
         return actions

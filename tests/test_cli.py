@@ -159,6 +159,22 @@ def test_sweep_malformed_value_exits_2(param, raw, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw, why", [
+    ("2.5", "error: --values '2.5' is not a valid 'source_ttl'"),
+    ("2,0", "invalid scenario for source_ttl=0"),     # a good value, then a bad one
+    (",", "error: --values ',' names no value"),
+])
+def test_sweep_checks_every_value_before_any_output(raw, why, tmp_path, capsys):
+    argv = ["sweep", "discovery_reach", "--param", "source_ttl", "--values", raw,
+            "--seeds", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert why in captured.err and captured.out == ""
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_2(capsys):
     assert main(["check", "not_a_preset"]) == 2
     assert "unknown preset" in capsys.readouterr().err

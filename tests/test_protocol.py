@@ -4,12 +4,15 @@ distance tables, and MRD corridor forwarding."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node
 from gcnsim.packets import Packet
 from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                              ProtocolError, SendAck, Transmit,
                              compute_ack_fields)
+from gcnsim.smf import SmfNode
 
 
 def disc(ttl, origin=99, seq=1, hops=0, epoch=0):
@@ -356,3 +359,204 @@ def test_handle_rejects_unknown_kind():
     with pytest.raises(ProtocolError):
         node.handle(Packet(kind="beacon", group=0, origin=1, hop_counter=0,
                            msg_id=(1, 1)), 2, 0.0)
+
+
+# --- differential check against the reference handler bodies ---------------
+#
+# RefGcnNode and RefSmfNode keep the straightforward form of the reception
+# handlers: build the action list, decide delivery, then test the duplicate
+# cache and the forwarder role.  The shipped handlers return as early as they
+# can; over random reception sequences both must give equal actions, equal
+# node state and the same RNG position after every step.
+
+class RefGcnNode(GcnNode):
+    def on_discovery(self, pkt, sender, now):
+        self._maybe_enter_epoch(pkt.epoch)
+        self.update_distance(pkt)
+        if self.first_discovery_time is None:
+            self.first_discovery_time = now
+        if (self.neighbor_count_frozen is None
+                and now <= self.first_discovery_time + self.neighbor_count_window):
+            self.neighbor_senders.add(sender)
+        if self.upstream is None:
+            self.upstream = sender
+        actions = []
+        best_sent = self.disc_sent.get(pkt.msg_id, -1)
+        if self.is_member:
+            if best_sent < 0:
+                out = Packet(kind="discovery", group=self.group,
+                             origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
+                             msg_id=pkt.msg_id, epoch=pkt.epoch,
+                             ttl=self.source_ttl)
+                self.disc_sent[pkt.msg_id] = self.source_ttl
+                actions.append(Transmit(out, self._jitter()))
+                self.transmitted_discovery = True
+            if not self.acked:
+                self.acked = True
+                actions.append(SendAck(self._ack_delay()))
+        elif pkt.ttl >= 1 and pkt.ttl - 1 > best_sent:
+            out = Packet(kind="discovery", group=self.group, origin=pkt.origin,
+                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+                         epoch=pkt.epoch, ttl=pkt.ttl - 1)
+            self.disc_sent[pkt.msg_id] = pkt.ttl - 1
+            actions.append(Transmit(out, self._jitter()))
+            self.transmitted_discovery = True
+        return actions
+
+    def on_ack(self, pkt, sender, now):
+        self.update_distance(pkt)
+        if pkt.epoch != self.epoch:
+            return []
+        if self.is_relay:
+            return []
+        became_relay = False
+        if pkt.obligate == self.node_id:
+            if self.transmitted_discovery:
+                became_relay = True
+        elif (self.transmitted_discovery and not self.self_select_attempted
+              and pkt.acp > 0.0):
+            self.self_select_attempted = True
+            if self.rng.random() < pkt.acp:
+                became_relay = True
+        if not became_relay:
+            return []
+        self.is_relay = True
+        actions = [BecomeRelay()]
+        if not self.acked:
+            self.acked = True
+            actions.append(SendAck(self._ack_delay()))
+        return actions
+
+    def on_data(self, pkt, sender, now):
+        self.update_distance(pkt)
+        actions = []
+        pairs = pkt.destinations
+        one_to_all = not pairs
+        is_dest = not one_to_all and any(dest == self.node_id for dest, _ in pairs)
+        if pkt.msg_id not in self.delivered:
+            if is_dest or (one_to_all and self.is_member):
+                self.delivered.add(pkt.msg_id)
+                actions.append(Deliver(pkt.msg_id))
+        if is_dest:
+            pairs = [(dest, mrd) for dest, mrd in pairs if dest != self.node_id]
+        if pkt.msg_id in self.dup_cache:
+            return actions
+        if one_to_all:
+            if not (self.is_relay or (self.is_member and self.members_forward_data)):
+                return actions
+            out_pairs = []
+        elif not (self.is_relay or self.is_member):
+            return actions
+        else:
+            out_pairs = []
+            for dest, mrd in pairs:
+                d = self.distance_to(dest)
+                if d is not None and mrd >= d:
+                    out_pairs.append((dest, d - 1))
+            if not out_pairs:
+                return actions
+        out = Packet(kind="data", group=self.group, origin=pkt.origin,
+                     hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+                     epoch=pkt.epoch, destinations=out_pairs,
+                     payload_bytes=pkt.payload_bytes)
+        self.dup_cache.add(pkt.msg_id)
+        actions.append(Transmit(out, self._jitter()))
+        return actions
+
+
+class RefSmfNode(SmfNode):
+    def on_data(self, pkt, sender, now):
+        if pkt.msg_id in self.dup_cache:
+            return []
+        self.dup_cache.add(pkt.msg_id)
+        actions = []
+        is_dest = any(d == self.node_id for d, _ in pkt.destinations)
+        if is_dest or (not pkt.destinations and self.is_member):
+            actions.append(Deliver(pkt.msg_id))
+        if pkt.smf_ttl > 0:
+            out = Packet(kind="data", group=pkt.group, origin=pkt.origin,
+                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+                         destinations=pkt.destinations,
+                         payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)
+            actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
+        return actions
+
+
+SELF = 3                       # the node under test; origins and dests mix it in
+IDS = st.integers(0, 5)
+MSG = st.tuples(IDS, st.integers(1, 3))
+DESTS = st.lists(st.tuples(IDS, st.integers(0, 4)), max_size=3)
+
+
+def _packets():
+    discovery = st.builds(
+        lambda m, hops, epoch, ttl: Packet(kind="discovery", group=0, origin=m[0],
+                                           hop_counter=hops, msg_id=m, epoch=epoch,
+                                           ttl=ttl),
+        MSG, st.integers(0, 4), st.integers(0, 2), st.integers(0, 3))
+    acks = st.builds(
+        lambda m, epoch, obligate, acp: Packet(kind="ack", group=0, origin=m[0],
+                                               hop_counter=0, msg_id=m, epoch=epoch,
+                                               obligate=obligate, acp=acp),
+        MSG, st.integers(0, 2), IDS, st.sampled_from([0.0, 0.3, 1.0]))
+    datas = st.builds(
+        lambda m, hops, dests: Packet(kind="data", group=0, origin=m[0],
+                                      hop_counter=hops, msg_id=m, destinations=dests,
+                                      payload_bytes=100),
+        MSG, st.integers(0, 4), DESTS)
+    return st.one_of(discovery, acks, datas)
+
+
+# a step is a reception (packet, sender, time) or one of the node's own calls
+STEPS = st.lists(st.one_of(
+    st.tuples(_packets(), IDS, st.floats(0.0, 0.2)),
+    st.sampled_from(["make_ack", "initiate", "one_to_all"])), max_size=40)
+
+
+def _state(node):
+    return {k: v for k, v in vars(node).items() if k != "rng"}, node.rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=STEPS, is_member=st.booleans(), is_relay=st.booleans(),
+       members_forward=st.booleans(), relays=st.integers(1, 3),
+       source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forward,
+                                      relays, source_ttl, seed):
+    nodes = [cls(SELF, is_member, 0, source_ttl, relays, random.Random(seed),
+                 members_forward_data=members_forward)
+             for cls in (GcnNode, RefGcnNode)]
+    for node in nodes:
+        node.is_relay = is_relay
+    for step in steps:
+        if step == "make_ack":
+            results = [node.make_ack() for node in nodes]
+        elif step == "initiate":
+            if not is_member:
+                continue
+            results = [node.initiate_discovery(node.epoch) for node in nodes]
+        elif step == "one_to_all":
+            results = [node.send_one_to_all(100) for node in nodes]
+        else:
+            pkt, sender, now = step
+            results = [node.handle(pkt, sender, now) for node in nodes]
+        assert results[0] == results[1], step
+        assert type(results[0]) is list
+        assert _state(nodes[0]) == _state(nodes[1]), step
+
+
+@settings(max_examples=300, deadline=None)
+@given(pkts=st.lists(st.builds(
+           lambda m, hops, dests, ttl: Packet(kind="data", group=0, origin=m[0],
+                                              hop_counter=hops, msg_id=m,
+                                              destinations=[(d, 0) for d, _ in dests],
+                                              payload_bytes=100, smf_ttl=ttl),
+           MSG, st.integers(0, 4), DESTS, st.integers(0, 3)), max_size=30),
+       is_member=st.booleans(), seed=st.integers(0, 2**16))
+def test_smf_on_data_matches_reference(pkts, is_member, seed):
+    nodes = [cls(SELF, is_member, random.Random(seed)) for cls in (SmfNode, RefSmfNode)]
+    for pkt in pkts:
+        results = [node.on_data(pkt, 0, 0.0) for node in nodes]
+        assert results[0] == results[1]
+        assert type(results[0]) is list
+        assert _state(nodes[0]) == _state(nodes[1])
