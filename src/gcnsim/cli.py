@@ -43,7 +43,11 @@ def _worker(args):
 
 def run_batch(scenario: Scenario, seeds: list, want_trace: bool = False) -> list:
     """Run all seeds, optionally in parallel; results ordered by seed."""
-    workers = int(os.environ.get("GCNSIM_WORKERS", "1"))
+    raw = os.environ.get("GCNSIM_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigurationError(f"GCNSIM_WORKERS={raw!r} is not an integer") from None
     jobs = [(scenario, seed, want_trace) for seed in seeds]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -90,6 +94,7 @@ def cmd_run(args) -> int:
         for v in violations:
             print(f"invalid scenario: {v}", file=sys.stderr)
         return 2
+    os.makedirs(args.out, exist_ok=True)  # before any seed runs
     results = run_batch(scenario, scenario.seeds, want_trace=args.trace)
     write_outputs(results, args.out, args.trace)
     summary = aggregate([r for _, _, r in results])
@@ -103,6 +108,8 @@ def cmd_compare(args) -> int:
     preset = get_preset(args.preset)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     seeds = parse_seeds(args.seeds) if args.seeds else preset.scenario.seeds
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # before any seed runs
     rows = []
     for proto in protocols:
         scenario = copy.deepcopy(preset.scenario)
@@ -120,7 +127,6 @@ def cmd_compare(args) -> int:
             cells.append(f"{mean:14.6g}")
         print(f"{proto:8}  " + "  ".join(cells))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"compare_{preset.name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -279,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KeyError, ConfigurationError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

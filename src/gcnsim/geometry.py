@@ -1,7 +1,7 @@
 """Who is within the radius, decided here and nowhere else, by one rule:
 `dx*dx + dy*dy <= r*r`.  The cell list answers it for one node (the
 channel's neighbour rows), `unit_disk_adjacency` for every pair, and
-`reached_count` along a connectivity search that builds no graph.
+`reached_count` along a depth-first connectivity search that builds no graph.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ def bfs_hops(adj: dict, start) -> dict:
 
 def reached_count(positions: dict, radius: float, active: set, source,
                   targets: set) -> int:
-    """How many of `targets` a BFS from `source` reaches on the unit-disk
-    graph of `active` plus the source (nodes without a position left out).
-    No graph is built: each step drops the pending nodes it reaches, and the
-    search stops once every target is reached."""
+    """How many of `targets` a depth-first search from `source` reaches on the
+    unit-disk graph of `active` plus the source (nodes without a position left
+    out).  No graph is built: each step drops the pending nodes it reaches,
+    and the search stops once every target is reached.  The visiting order
+    cannot change the count; depth first reaches the far side of the group
+    sooner, so the search stops after fewer rescans of the pending nodes."""
     if source not in positions:
         return 0
     pending = [(p.x, p.y, v in targets) for v in active
@@ -76,15 +78,14 @@ def reached_count(positions: dict, radius: float, active: set, source,
     wanted = sum(t[2] for t in pending)
     r2 = radius * radius
     found = 0
-    queue = [(positions[source].x, positions[source].y, False)]
-    for px, py, _ in queue:
-        if found == wanted:
-            break
+    stack = [(positions[source].x, positions[source].y, False)]
+    while stack and found != wanted:
+        px, py, _ = stack.pop()
         far = []
         for t in pending:
             dx, dy = px - t[0], py - t[1]
             if dx * dx + dy * dy <= r2:
-                queue.append(t)
+                stack.append(t)
                 found += t[2]
             else:
                 far.append(t)

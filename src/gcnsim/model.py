@@ -11,7 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 NodeId = int
 GroupId = int
@@ -35,8 +35,8 @@ def make_rng(seed: int, domain: int, subject: int = 0) -> random.Random:
     return random.Random(int.from_bytes(key[:16], "big"))
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
+    """An immutable point; a tuple, so building one costs no per-field setattr."""
     x: float
     y: float
 

@@ -191,3 +191,39 @@ def test_compare_runs_both_protocols(capsys):
     printed = capsys.readouterr().out
     assert "gcn" in printed and "smf" in printed
     assert "bytes_total" in printed
+
+
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["sweep", "discovery_reach", "--param", "source_ttl",
+                 "--values", "2", "--seeds", "0",
+                 "--out", str(tmp_path / "file" / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["compare", "discovery_reach", "--seeds", "0"],
+                                  ["run", "SCENARIO", "--seeds", "0"]])
+def test_unwritable_out_exits_2_before_any_seed(argv, tmp_path, capsys,
+                                                monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a seed ran before --out was checked")
+    scenario = str(write_small(tmp_path))
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    (tmp_path / "file").write_text("")
+    assert main([scenario if a == "SCENARIO" else a for a in argv]
+                + ["--out", str(tmp_path / "file" / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_malformed_workers_exits_2_without_a_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr("gcnsim.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("GCNSIM_WORKERS", "abc")
+    assert main(["check", "discovery_reach", "--seeds", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: GCNSIM_WORKERS='abc' is not an integer" in captured.err
+    assert captured.out == ""

@@ -14,7 +14,7 @@ from gcnsim.analytics import connectivity_sample
 from gcnsim.channel import default_curve_points, per_at
 from gcnsim.engine import Run
 from gcnsim.geometry import CellList, unit_disk_adjacency
-from gcnsim.model import ChannelSpec, MobilitySpec, Position
+from gcnsim.model import ChannelSpec, MobilitySpec, Position, uniform_disk_point
 
 
 # --- brute-force references -----------------------------------------------
@@ -118,16 +118,39 @@ def test_cell_list_query_equals_brute_force_in_range_set(world, data):
         assert grid.in_range(i, above) == [j for j in want[i] if j > above]
 
 
+@st.composite
+def sparse_samples(draw):
+    """(positions, radius, active, source, members) over `placements`, with a
+    few ids that have no position."""
+    positions, r = draw(placements(max_points=30))
+    ids = st.integers(0, len(positions) + 2)
+    active = draw(st.sets(ids))
+    members = draw(st.sets(ids))
+    source = draw(st.one_of(ids, st.sampled_from(sorted(members) or [0])))
+    return positions, r, active, source, members
+
+
+@st.composite
+def dense_samples(draw):
+    """Samples shaped like the mobile connectivity preset: 100 nodes on a
+    100 m disk, r = 40, a quarter of them members and about 70 % active
+    (members and relays); in some worlds one member stands out of reach."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    positions = {i: uniform_disk_point(rng, 100.0) for i in range(100)}
+    members = set(rng.sample(range(100), 25))
+    active = members | {i for i in range(100) if rng.random() < 0.6}
+    source = rng.choice(sorted(members))
+    if draw(st.booleans()):  # one member just over a radius off the disk
+        cut = rng.choice(sorted(members - {source}))
+        theta = rng.uniform(0.0, 2 * math.pi)
+        positions[cut] = Position(140.001 * math.cos(theta), 140.001 * math.sin(theta))
+    return positions, 40.0, active, source, members
+
+
 @settings(max_examples=400, deadline=None)
-@given(world=placements(max_points=30), data=st.data())
-def test_connectivity_sample_equals_graph_and_bfs(world, data):
-    positions, r = world
-    ids = st.integers(0, len(positions) + 2)  # a few ids with no position
-    active = data.draw(st.sets(ids))
-    members = data.draw(st.sets(ids))
-    source = data.draw(st.one_of(ids, st.sampled_from(sorted(members) or [0])))
-    assert (connectivity_sample(positions, r, active, source, members)
-            == graph_connectivity(positions, r, active, source, members))
+@given(sample=sparse_samples() | dense_samples())
+def test_connectivity_sample_equals_graph_and_bfs(sample):
+    assert connectivity_sample(*sample) == graph_connectivity(*sample)
 
 
 def test_connectivity_sample_edge_cases():

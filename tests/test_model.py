@@ -1,5 +1,6 @@
 """Scenario configuration, placement statistics, and RNG stream hygiene."""
 
+import hashlib
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT, ChannelSpec,
                           TrafficFlow, TrafficSpec, make_rng, place_nodes,
                           save_scenario, scenario_from_dict, scenario_to_dict,
                           load_scenario, uniform_disk_point, validate_scenario)
+from gcnsim.presets import PRESETS
 
 
 # --- rng streams ----------------------------------------------------------
@@ -36,6 +38,20 @@ def test_make_rng_streams_are_distinct():
 
 def test_position_distance():
     assert Position(0, 0).distance_to(Position(3, 4)) == pytest.approx(5.0)
+    for a, b in [((1.5, -2.25), (-7.0, 0.125)), ((1e3, 1e-3), (-1e3, 3.0))]:
+        assert (Position(*a).distance_to(Position(*b))
+                == math.hypot(a[0] - b[0], a[1] - b[1]))
+
+
+def test_position_is_an_immutable_value():
+    p = Position(3.0, 4.0)
+    with pytest.raises(AttributeError):
+        p.x = 1.0
+    assert (p.x, p.y) == (3.0, 4.0)
+    assert p == Position(3.0, 4.0) and p != Position(4.0, 3.0)
+    assert hash(p) == hash(Position(3.0, 4.0))
+    assert len({p, Position(3.0, 4.0), Position(0.0, 0.0)}) == 2
+    assert repr(p) == "Position(x=3.0, y=4.0)"
 
 
 def test_uniform_disk_containment_and_mean_radius():
@@ -180,6 +196,25 @@ def test_scenario_round_trip(tmp_path):
     save_scenario(sc, str(path))
     loaded = load_scenario(str(path))
     assert loaded == sc
+
+
+# sha256 of each preset's `scenario_to_dict` as sorted-key JSON; a changed
+# digest means the exported scenario files changed
+PRESET_DICT_DIGESTS = {
+    "byte_comparison": "f1b0946c5a6d5c98",
+    "discovery_reach": "4f45148b4e354425",
+    "full_matrix": "6d820979e37ac147",
+    "mobile_connectivity": "c316a5f3ff2cba66",
+    "resiliency_sweep": "911d33d822bccba0",
+    "targeted_collection": "a6e036a6747c5eda",
+}
+
+
+def test_preset_scenario_dicts_are_pinned():
+    digests = {name: hashlib.sha256(json.dumps(
+        scenario_to_dict(preset.scenario), sort_keys=True).encode()).hexdigest()[:16]
+        for name, preset in PRESETS.items()}
+    assert digests == PRESET_DICT_DIGESTS
 
 
 def test_scenario_rejects_unknown_keys():
