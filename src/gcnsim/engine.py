@@ -4,7 +4,8 @@ traffic into one simulation run.
 All randomness is drawn from named per-(seed, subsystem, node) streams, and
 simultaneous events are ordered by a monotone sequence number, so a run is a
 pure function of (scenario, seed): repeating it yields bit-identical traces
-and metrics.
+and metrics.  A transmission's receptions run inline unless another event is
+due at the same instant, so the sequence counts heap pushes, not events.
 """
 
 from __future__ import annotations
@@ -228,10 +229,18 @@ class Run:
         if row is None:
             row = self._neighbor_cache[sender] = self._neighbor_row(sender)
         hearers = channel_mod.hearers(row, self.channel_rng)
-        # one entry for all hearers: per-hearer entries would carry contiguous
-        # sequence numbers at one instant, so nothing could come between them
-        if hearers:
+        if not hearers:
+            return
+        heap = self._heap
+        if heap and heap[0][0] <= self.now:
+            # another event is due at this instant: queue the receptions
+            # behind it, as one entry for all hearers
             self._push(self.now, _RX, (pkt, sender), hearers)
+            return
+        # an entry pushed now would be popped next, so deliver it at once
+        receive = self._receive
+        for node_id in hearers:
+            receive(node_id, pkt, sender)
 
     def _receive(self, node_id: int, pkt, sender: int) -> None:
         node = self.nodes[node_id]
@@ -367,7 +376,7 @@ class Run:
             if time < self.now - 1e-12:
                 raise RuntimeError("event time went backwards")
             self.now = time
-            if kind == _RX:
+            if kind == _RX:  # only when another event shared the instant
                 pkt, sender = a
                 receive = self._receive
                 for node_id in b:

@@ -1,5 +1,7 @@
 """Event engine: determinism, byte accounting, scheduling, and reporting."""
 
+from collections import Counter
+
 import pytest
 
 import gcnsim.engine as engine_mod
@@ -14,6 +16,7 @@ from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
                           TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.protocol import ProtocolError
+from test_golden import CASES
 
 
 def flows(*fl):
@@ -227,6 +230,88 @@ def test_mobile_flood_builds_one_graph_per_tick(monkeypatch):
     run.run()
     assert run.report.smf_ttl >= 1
     assert ticks == [10, 20, 30, 40]
+
+
+# --- inline delivery -----------------------------------------------------
+
+class CountingRun(Run):
+    """A Run that counts its heap pushes by kind and the transmissions whose
+    receptions it ran (consecutive receptions of one packet from one sender)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pushes = Counter()
+        self.heard = 0
+        self._last = None
+
+    def _push(self, time, kind, a=None, b=None):
+        self.pushes[kind] += 1
+        super()._push(time, kind, a, b)
+
+    def _receive(self, node_id, pkt, sender):
+        if self._last is None or self._last[0] is not pkt or self._last[1] != sender:
+            self._last = (pkt, sender)
+            self.heard += 1
+        super()._receive(node_id, pkt, sender)
+
+
+class PushingRun(Run):
+    """The reference: every transmission heard by anyone pushes one `_RX`
+    entry at `now`, which `run` pops and delivers."""
+
+    def _transmit(self, sender, pkt):
+        nbytes = pkt.wire_bytes()
+        if pkt.kind in ("discovery", "ack"):
+            self.report.bytes_control += nbytes
+        else:
+            self.report.bytes_data += nbytes
+        if self.collect_trace:
+            info = pkt.ttl if pkt.kind == "discovery" else (
+                pkt.smf_ttl if pkt.smf_ttl is not None else
+                [m for _, m in pkt.destinations])
+            self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
+        if self._mobile:
+            self._sync_positions()
+        row = self._neighbor_cache.get(sender)
+        if row is None:
+            row = self._neighbor_cache[sender] = self._neighbor_row(sender)
+        hearers = engine_mod.channel_mod.hearers(row, self.channel_rng)
+        if hearers:
+            self._push(self.now, engine_mod._RX, (pkt, sender), hearers)
+
+
+def _lossy_static_flood():
+    return small_scenario(protocol="smf", channel=ChannelSpec(flat_per=0.25),
+                          traffic=flows(one_to_all_flow(senders="all_members")))
+
+
+@pytest.mark.parametrize("case, both_branches", [
+    (CASES["resiliency_no_jitter/gcn/0"], True),
+    (CASES["resiliency_no_jitter/smf/1"], False),
+    ((_lossy_static_flood(), 0), False),
+    (CASES["targeted_mobile/gcn/1"], False)],
+    ids=["no_jitter_gcn", "no_jitter_smf", "static_flood", "mobile_gcn"])
+def test_inline_delivery_matches_pushing_every_reception(case, both_branches):
+    sc, seed = case
+    inline, pushing = CountingRun(sc, seed), PushingRun(sc, seed)
+    trace, report = inline.run()
+    ref_trace, ref_report = pushing.run()
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+    assert inline.channel_rng.getstate() == pushing.channel_rng.getstate()
+    if both_branches:
+        # without jitter most transmissions share an instant with another
+        # event and take the pushed branch; a few still run inline
+        assert 0 < inline.pushes[engine_mod._RX] < inline.heard
+
+
+def test_rx_pushes_are_rare_with_the_default_jitter():
+    run = CountingRun(_lossy_static_flood(), 0)
+    trace, _ = run.run()
+    transmissions = sum(1 for rec in trace if rec[2].startswith("tx:"))
+    assert transmissions > 100
+    assert run.pushes[engine_mod._RX] <= 0.05 * transmissions
+    assert run._seq == sum(run.pushes.values())
 
 
 # --- channel neighbour table ----------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.engine import Run, trace_hash
-from gcnsim.model import MobilitySpec, TrafficSpec
+from gcnsim.model import MobilitySpec, TimingParams, TrafficSpec
 from gcnsim.presets import PRESETS
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -76,11 +76,7 @@ def test_every_pinned_case_still_runs():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
-def test_each_transmission_reaches_every_neighbour_in_id_order():
-    """On a loss-free static channel every transmission calls `Run._receive`
-    once per entry of the sender's neighbour table, in id order, and the
-    receptions of one transmission are not interleaved with any other."""
-    sc = small_scenario(traffic=TrafficSpec(flows=[one_to_all_flow()]))
+def _check_receptions_in_id_order(sc) -> None:
     run = Run(sc, 0)
     receive = run._receive
     heard = []  # one [sender, packet, hearers] per transmission heard
@@ -98,6 +94,18 @@ def test_each_transmission_reaches_every_neighbour_in_id_order():
     assert [s for s, _, _ in heard] == senders
     for sender, _, hearers in heard:
         assert hearers == [nid for nid, _ in run._neighbor_cache[sender]]
+
+
+def test_each_transmission_reaches_every_neighbour_in_id_order():
+    """On a loss-free static channel every transmission calls `Run._receive`
+    once per entry of the sender's neighbour table, in id order, and the
+    receptions of one transmission are not interleaved with any other.
+    Without jitter, transmissions share instants, so receptions also take the
+    engine's queued path."""
+    for jitter in (0.001, 0.0):
+        _check_receptions_in_id_order(small_scenario(
+            traffic=TrafficSpec(flows=[one_to_all_flow()]),
+            timing=TimingParams(forward_jitter_max=jitter)))
 
 
 def _changes(old: dict, new: dict) -> list:
