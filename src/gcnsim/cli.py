@@ -74,11 +74,26 @@ def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
         for seed, trace, _report in results:
             path = os.path.join(out_dir, f"trace_seed{seed}.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
-                for time, node, event, msg_id, info, nbytes in trace:
-                    fh.write(json.dumps({
-                        "time": time, "node": node, "event": event,
-                        "msg_id": list(msg_id) if msg_id else None,
-                        "info": info, "bytes": nbytes}) + "\n")
+                fh.writelines(trace_lines(trace))
+
+
+def trace_lines(trace: list):
+    """One JSON object per trace record, each line as `json.dumps` writes the
+    record's dict (README.md describes the fields), formatted directly: ints
+    and float times print as JSON does, and only an `info` that is neither
+    None nor an int goes through `json.dumps`."""
+    names = {}  # event name -> its JSON string
+    for time, node, event, msg_id, info, nbytes in trace:
+        name = names.get(event)
+        if name is None:
+            name = names[event] = json.dumps(event)
+        mid = f"[{msg_id[0]}, {msg_id[1]}]" if msg_id else "null"
+        if info is None:
+            info = "null"
+        elif type(info) is not int:
+            info = json.dumps(info)
+        yield (f'{{"time": {time!r}, "node": {node}, "event": {name}, '
+               f'"msg_id": {mid}, "info": {info}, "bytes": {nbytes}}}\n')
 
 
 def cmd_run(args) -> int:

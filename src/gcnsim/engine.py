@@ -88,13 +88,14 @@ class Run:
                 self._movers.append((nid, init_motion(
                     scenario.mobility, self.positions[nid], 0.0, rng,
                     self._placement_radius), rng))
-        # Geometry state of the current positions, each built on first use
-        # and dropped together by `_sync_positions`: the cell list, the
+        # Geometry state of the current positions: the cell list, the
         # unit-disk graph, and node id -> [(neighbour id, per)] in id order
-        # over every neighbour the channel can reach (a mobile run prices a
-        # sender's row when it first transmits after a move).  Plain
-        # attributes, not cached properties: reading `__dict__` would slow
-        # every attribute read for the rest of the run
+        # over every neighbour the channel can reach.  A static run builds
+        # the graph and every row at set-up; a mobile run builds each on
+        # first use after a move (a sender's row when it first transmits),
+        # and `_sync_positions` drops them together.  Plain attributes, not
+        # cached properties: reading `__dict__` would slow every attribute
+        # read for the rest of the run
         self._cells = None
         self._unit_disk = None
         self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
@@ -112,23 +113,35 @@ class Run:
     # -- setup -------------------------------------------------------------
 
     def _build_neighbor_cache(self) -> dict:
-        """Every node's neighbour row; each candidate pair is priced once."""
-        cache = {nid: [] for nid in self.node_ids}
-        for a, entries in cache.items():
-            for b, per in self._neighbor_row(a, above=a):
-                entries.append((b, per))
-                cache[b].append((a, per))
+        """Every node's neighbour row, priced from the unit-disk graph, which
+        the flood oracle then reuses; each pair is priced once, and not at
+        all on a channel without a distance curve."""
+        spec, positions = self.sc.channel, self.positions
+        adj = self._unit_disk = unit_disk_adjacency(positions, self.sc.tx_radius)
+        per = channel_mod.constant_per(spec)
+        if per is not None:
+            return {a: [(b, per) for b in row] if per < 1.0 else []
+                    for a, row in adj.items()}
+        cache = {a: [] for a in adj}
+        for a, row in adj.items():
+            pos, entries = positions[a], cache[a]
+            for b in row:
+                if b > a:
+                    per = channel_mod.per_at(spec, pos.distance_to(positions[b]))
+                    if per < 1.0:
+                        entries.append((b, per))
+                        cache[b].append((a, per))
         return cache
 
-    def _neighbor_row(self, sender: int, above: int = -1) -> list:
-        """One sender's neighbour row over the ids above `above`, priced from
-        the current positions; certain-loss pairs are left out."""
+    def _neighbor_row(self, sender: int) -> list:
+        """A mobile run's row for one sender, priced from the current
+        positions; certain-loss pairs are left out."""
         spec, positions = self.sc.channel, self.positions
         if self._cells is None:
             self._cells = CellList(positions, self.sc.tx_radius)
         pos = positions[sender]
         row = []
-        for other in self._cells.in_range(sender, above):
+        for other in self._cells.in_range(sender):
             per = channel_mod.per_at(spec, pos.distance_to(positions[other]))
             if per < 1.0:
                 row.append((other, per))

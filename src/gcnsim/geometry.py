@@ -1,7 +1,8 @@
 """Who is within the radius, decided here and nowhere else, by one rule:
-`dx*dx + dy*dy <= r*r`.  The cell list answers it for one node (the
-channel's neighbour rows), `unit_disk_adjacency` for every pair, and
-`reached_count` along a depth-first connectivity search that builds no graph.
+`dx*dx + dy*dy <= r*r`.  The cell list answers it for one node (a mobile
+run's neighbour rows), `unit_disk_adjacency` for every pair (a static run's
+rows and the flood oracle's graph), and `reached_count` along a depth-first
+connectivity search that builds no graph.
 """
 
 from __future__ import annotations
@@ -28,27 +29,41 @@ class CellList:
     def _cell(self, p) -> tuple:
         return math.floor(p.x / self.width), math.floor(p.y / self.width)
 
-    def in_range(self, nid: int, above: int = -1) -> list:
-        """The ids in range of node `nid`, sorted, over the ids above `above`."""
+    def in_range(self, nid: int) -> list:
+        """The ids in range of node `nid`, sorted."""
         p = self.positions[nid]
         x, y, r2 = p.x, p.y, self.r2
         cx, cy = self._cell(p)
         found = [j for i in (cx - 1, cx, cx + 1) for k in (cy - 1, cy, cy + 1)
                  for j, qx, qy in self.cells.get((i, k), ())
-                 if j > above and j != nid
-                 and (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2]
+                 if j != nid and (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2]
         found.sort()
         return found
 
 
 def unit_disk_adjacency(positions: dict, tx_radius: float) -> dict:
-    """positions: NodeId -> Position.  Returns NodeId -> neighbours by id."""
+    """positions: NodeId -> Position.  Returns NodeId -> neighbours by id.
+
+    Each candidate pair is tested once: a cell against itself and against
+    its four forward neighbours, so that every pair of adjacent cells meets
+    exactly once."""
     adj = {i: [] for i in sorted(positions)}
     grid = CellList(positions, tx_radius)
-    for i, row in adj.items():
-        for j in grid.in_range(i, above=i):
-            row.append(j)
-            adj[j].append(i)
+    cells, r2 = grid.cells, grid.r2
+    for (cx, cy), here in cells.items():
+        for key in ((cx, cy), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
+                    (cx, cy + 1)):
+            there = cells.get(key)
+            if there is None:
+                continue
+            for n, (i, x, y) in enumerate(here, 1):
+                row = adj[i]
+                for j, qx, qy in (here[n:] if there is here else there):
+                    if (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2:
+                        row.append(j)
+                        adj[j].append(i)
+    for row in adj.values():
+        row.sort()
     return adj
 
 

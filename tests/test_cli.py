@@ -1,13 +1,16 @@
 """Command-line interface: argument parsing, subcommands, outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
 from conftest import one_to_all_flow, small_scenario
-from gcnsim.cli import main, parse_seeds
-from gcnsim.model import TrafficSpec, save_scenario
+from gcnsim.cli import main, parse_seeds, trace_lines, write_outputs
+from gcnsim.engine import Run
+from gcnsim.model import ChannelSpec, TrafficFlow, TrafficSpec, save_scenario
+from test_golden import CASES
 
 
 def write_small(tmp_path, **overrides):
@@ -64,15 +67,106 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert any(r["metric"] == "bytes_total" for r in rows)
 
 
+# --- JSONL traces -----------------------------------------------------------
+
+def dumped_lines(trace: list) -> list:
+    """Each record as the trace writer first wrote it: a dict through
+    `json.dumps`, kept as the reference for the direct formatting."""
+    return [json.dumps({"time": time, "node": node, "event": event,
+                        "msg_id": list(msg_id) if msg_id else None,
+                        "info": info, "bytes": nbytes}) + "\n"
+            for time, node, event, msg_id, info, nbytes in trace]
+
+
+def _is_int(v):
+    return type(v) is int
+
+
+def _is_id_list(v):
+    return type(v) is list and all(map(_is_int, v))
+
+
+# README.md's trace schema: the `info` each event carries, and whether its
+# `msg_id` is set
+TRACE_SCHEMA = {
+    "tx:discovery": (_is_int, True),                          # remaining TTL
+    "tx:data": (lambda v: _is_int(v) or _is_id_list(v), True),  # SMF TTL or dests
+    "tx:ack": (lambda v: v == [], True),
+    "relay": (_is_int, False),                                # epoch
+    "discover": (_is_int, False),                             # epoch
+    "noroute": (_is_id_list, False),                          # destination ids
+    "deliver": (lambda v: v is None, True),
+}
+
+
+def assert_follows_schema(line: str) -> None:
+    rec = json.loads(line)
+    assert list(rec) == ["time", "node", "event", "msg_id", "info", "bytes"]
+    info_ok, has_msg_id = TRACE_SCHEMA[rec["event"]]
+    assert type(rec["time"]) is float and rec["time"] >= 0.0
+    assert _is_int(rec["node"]) and _is_int(rec["bytes"])
+    assert (rec["bytes"] > 0) == rec["event"].startswith("tx:")
+    if has_msg_id:
+        assert _is_id_list(rec["msg_id"]) and len(rec["msg_id"]) == 2
+    else:
+        assert rec["msg_id"] is None
+    assert info_ok(rec["info"]), line
+
+
+def every_event_scenario():
+    """A short lossy GCN run whose trace holds every event kind: targeted
+    sends before discovery settles give `noroute`."""
+    return small_scenario(
+        duration=4.0, channel=ChannelSpec(flat_per=0.2),
+        traffic=TrafficSpec(flows=[
+            one_to_all_flow(start=1.0, stop=2.0),
+            TrafficFlow(pattern="targeted", senders="all_members", dests="source",
+                        rate=1.0, payload_bytes=100, start=0.0, stop=2.5)]))
+
+
+# sha256 of trace_seed0.jsonl for every_event_scenario, as written by the
+# dict-and-json.dumps writer
+EVERY_EVENT_TRACE_SHA256 = ("c6e6dba8f542bd3235e63e90eb73ebb3a1b3cb2b"
+                            "ab475f249388c70a4c02f0e6")
+
+
 def test_run_trace_output(tmp_path):
-    scenario = write_small(tmp_path)
+    path = tmp_path / "scenario.json"
+    save_scenario(every_event_scenario(), str(path))
     out = tmp_path / "out"
-    assert main(["run", str(scenario), "--seeds", "0", "--out", str(out),
+    assert main(["run", str(path), "--seeds", "0", "--out", str(out),
                  "--trace"]) == 0
-    lines = (out / "trace_seed0.jsonl").read_text().splitlines()
-    assert lines
-    first = json.loads(lines[0])
-    assert {"time", "node", "event", "bytes"} <= set(first)
+    data = (out / "trace_seed0.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EVERY_EVENT_TRACE_SHA256
+    lines = data.decode().splitlines()
+    assert {json.loads(line)["event"] for line in lines} == set(TRACE_SCHEMA)
+    for line in lines:
+        assert_follows_schema(line)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_written_golden_traces_equal_json_dumps_and_follow_schema(key, tmp_path):
+    sc, seed = CASES[key]
+    trace, report = Run(sc, seed).run()
+    write_outputs([(seed, trace, report)], str(tmp_path), want_trace=True)
+    with open(tmp_path / f"trace_seed{seed}.jsonl", encoding="utf-8") as fh:
+        lines = list(fh)
+    want = dumped_lines(trace)
+    assert len(lines) == len(want)
+    for line, ref in zip(lines, want):  # line by line: a diff of the whole
+        assert line == ref              # file would take minutes to print
+        assert_follows_schema(line)
+
+
+def test_trace_lines_equal_json_dumps_on_every_value_type():
+    records = [(t, node, event, msg_id, info, nbytes)
+               for t in (0.0, 1.5e-06, 2.000000001, 12.0, 1e16)
+               for node, nbytes in ((0, 0), (7, 1407), (123456, 20))
+               for event in ("tx:data", 'odd "name"\\\t\u00e9\n')
+               for msg_id in (None, (3, 1), (0, 12345))
+               for info in (None, 0, 5, -1, [4, 9], [], True, False, 0.25,
+                            "text", [True, None])]
+    assert list(trace_lines(records)) == dumped_lines(records)
 
 
 def test_run_missing_file_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import gcnsim.engine as engine_mod
+import gcnsim.geometry as geometry_mod
 import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.analytics import connectivity_sample
@@ -195,20 +196,35 @@ def test_refresh_packets_counted_as_data():
 
 
 def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
-    built = []
+    # a static run of either protocol builds one cell list and one graph at
+    # set-up: the graph prices the channel rows and gives the flood's TTL
+    # oracle its hop counts
+    built, cells = [], []
     real = smf_mod.unit_disk_adjacency
 
     def counting(positions, tx_radius):
         built.append(len(positions))
         return real(positions, tx_radius)
 
+    class CountingCellList(geometry_mod.CellList):
+        def __init__(self, positions, radius):
+            cells.append(len(positions))
+            super().__init__(positions, radius)
+
     monkeypatch.setattr(engine_mod, "unit_disk_adjacency", counting)
     monkeypatch.setattr(smf_mod, "unit_disk_adjacency", counting)
-    sc = small_scenario(protocol="smf", traffic=flows(
-        one_to_all_flow(senders="all_members")))
-    _, report = run_scenario(sc, 0)
-    assert report.num_members > 1 and report.smf_ttl >= 1
-    assert built == [sc.num_users]
+    monkeypatch.setattr(engine_mod, "CellList", CountingCellList)
+    monkeypatch.setattr(geometry_mod, "CellList", CountingCellList)
+    for protocol in ("gcn", "smf"):
+        built.clear()
+        cells.clear()
+        sc = small_scenario(protocol=protocol, traffic=flows(
+            one_to_all_flow(senders="all_members")))
+        trace, report = run_scenario(sc, 0)
+        assert report.num_members > 1
+        assert any(rec[2] == "deliver" for rec in trace)
+        assert built == cells == [sc.num_users]
+    assert report.smf_ttl >= 1
 
 
 def test_mobile_flood_builds_one_graph_per_tick(monkeypatch):
@@ -317,12 +333,22 @@ def test_rx_pushes_are_rare_with_the_default_jitter():
 # --- channel neighbour table ----------------------------------------------
 
 def test_pairwise_table_matches_rows_priced_one_sender_at_a_time():
-    sc = small_scenario(channel=ChannelSpec(flat_per=None, base_loss=0.1,
-                                            curve_points=default_curve_points()))
-    run = Run(sc, 0)
-    assert run._neighbor_cache == {s: run._neighbor_row(s) for s in run.node_ids}
-    assert any(0.0 < per < 1.0 for row in run._neighbor_cache.values()
-               for _, per in row)
+    curve = default_curve_points()
+    for channel, radius in [
+            (ChannelSpec(flat_per=None, base_loss=0.1, curve_points=curve), 40.0),
+            # past the curve's certain-loss point at 60 m: in-range pairs
+            # that can never hear are left out of the rows
+            (ChannelSpec(flat_per=None, curve_points=curve), 75.0),
+            (ChannelSpec(flat_per=0.2, base_loss=0.3), 40.0)]:
+        run = Run(small_scenario(channel=channel, tx_radius=radius), 0)
+        assert run._neighbor_cache == {s: run._neighbor_row(s) for s in run.node_ids}
+        pers = [per for row in run._neighbor_cache.values() for _, per in row]
+        assert any(0.0 < per < 1.0 for per in pers)
+        linked = sum(map(len, run._unit_disk.values()))
+        if radius > curve[-1][0]:
+            assert len(pers) < linked
+        else:
+            assert len(pers) == linked
 
 
 def test_mobile_table_holds_only_rows_priced_since_the_last_move():
