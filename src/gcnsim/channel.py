@@ -53,14 +53,6 @@ def per_at(spec: ChannelSpec, d: float) -> float:
     return 1.0 - (1.0 - spec.base_loss) * (1.0 - per)
 
 
-def constant_per(spec: ChannelSpec):
-    """The packet error rate every in-range pair shares when the channel has
-    no distance curve, else None."""
-    if spec.flat_per is None and spec.curve_points:
-        return None
-    return per_at(spec, 0.0)
-
-
 def hearers(row: list, rng: random.Random) -> list:
     """Sample which entries of one sender's neighbour row hear a transmission.
 

@@ -114,14 +114,9 @@ class Run:
 
     def _build_neighbor_cache(self) -> dict:
         """Every node's neighbour row, priced from the unit-disk graph, which
-        the flood oracle then reuses; each pair is priced once, and not at
-        all on a channel without a distance curve."""
+        the flood oracle then reuses; each pair is priced once."""
         spec, positions = self.sc.channel, self.positions
         adj = self._unit_disk = unit_disk_adjacency(positions, self.sc.tx_radius)
-        per = channel_mod.constant_per(spec)
-        if per is not None:
-            return {a: [(b, per) for b in row] if per < 1.0 else []
-                    for a, row in adj.items()}
         cache = {a: [] for a in adj}
         for a, row in adj.items():
             pos, entries = positions[a], cache[a]

@@ -19,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from conftest import one_to_all_flow, small_scenario
+from gcnsim.cli import write_outputs
 from gcnsim.engine import Run, trace_hash
 from gcnsim.model import MobilitySpec, TimingParams, TrafficSpec
 from gcnsim.presets import PRESETS
+from test_cli import assert_follows_schema, dumped_lines
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 SHORT_S = 12.0
@@ -60,16 +62,36 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def _observe(sc, seed) -> dict:
-    trace, report = Run(sc, seed).run()
+def _pinned(trace, report) -> dict:
     return {"trace": trace_hash(trace), "scalars": report.to_scalars()}
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
-def test_golden_trace_and_scalars(key):
+@pytest.fixture(scope="module", params=sorted(CASES))
+def golden_run(request):
+    """(key, seed, trace, report) of one case, run once for every test that
+    checks it; pytest runs those tests together, one case at a time."""
+    sc, seed = CASES[request.param]
+    return (request.param, seed, *Run(sc, seed).run())
+
+
+def test_golden_trace_and_scalars(golden_run):
+    key, _, trace, report = golden_run
     golden = json.loads(GOLDEN.read_text())
     assert key in golden, f"no pinned value for {key}; regenerate {GOLDEN.name}"
-    assert _observe(*CASES[key]) == golden[key]
+    assert _pinned(trace, report) == golden[key]
+
+
+def test_written_golden_trace_equals_json_dumps_and_follows_schema(golden_run,
+                                                                   tmp_path):
+    _, seed, trace, report = golden_run
+    write_outputs([(seed, trace, report)], str(tmp_path), want_trace=True)
+    with open(tmp_path / f"trace_seed{seed}.jsonl", encoding="utf-8") as fh:
+        lines = list(fh)
+    want = dumped_lines(trace)
+    assert len(lines) == len(want)
+    for line, ref in zip(lines, want):  # line by line: a diff of the whole
+        assert line == ref              # file would take minutes to print
+        assert_follows_schema(line)
 
 
 def test_every_pinned_case_still_runs():
@@ -140,7 +162,7 @@ def test_rewrite_lists_each_changed_key_and_moved_scalar():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    observed = {key: _observe(*CASES[key]) for key in sorted(CASES)}
+    observed = {key: _pinned(*Run(*CASES[key]).run()) for key in sorted(CASES)}
     pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     print("\n".join(_changes(pinned, observed)) or "no pinned value changed")
     GOLDEN.write_text(json.dumps(observed, indent=1, sort_keys=True) + "\n")

@@ -3,13 +3,13 @@
     python3 tools/bench_pairs.py --parent ../parent --change . --pr N \
         --seeds 1201..1210 --what "what the change does"
 
-For each workload and seed, `perfbench/run.py` runs once in each checkout
-(`--trace 0`), the parent first on even offsets into the seed list and the
-change first on odd ones, one run at a time.  A traced run (`--trace 1`) of
-each side on `--traced-seed` then gives the per-layer metrics.  Each run is
-a fresh process started in its checkout, so it times that checkout's
-sources.  The file is rewritten after every workload, so an interrupted
-recording keeps the workloads it finished.
+For each workload in BENCHMARK.json and each seed, `perfbench/run.py` runs
+once in each checkout (`--trace 0`), the parent first on even offsets into
+the seed list and the change first on odd ones, one run at a time, for the
+benchmark's `run_seconds`.  A traced run (`--trace 1`) of each side on seed
+1 then gives the per-layer metrics.  Each run is a fresh process started in
+its checkout, so it times that checkout's sources.  The file is written
+once every workload has run.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_SEED = 1
 
 sys.path.insert(0, str(ROOT / "src"))
 from gcnsim.cli import parse_seeds  # noqa: E402
@@ -73,16 +74,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--pr", required=True, type=int)
     parser.add_argument("--seeds", required=True, help="'a..b' or a comma list")
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--traced-seed", type=int, default=1)
-    parser.add_argument("--workloads", help="comma list; default every workload")
     parser.add_argument("--what", required=True, help="the change, in one sentence")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
     seeds = parse_seeds(args.seeds)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out_path = ROOT / f"BENCH_{args.pr}.json"
@@ -91,33 +88,33 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()} CPU {platform.system()} {platform.machine()}, "
                 f"Python {platform.python_version()}; timings on perfbench's scaled clock",
         "untimed_command": f"python3 perfbench/run.py --workload W --seed N "
-                           f"--seconds {args.seconds:g} --trace 0",
+                           f"--seconds {seconds:g} --trace 0",
         "pairs": f"{len(seeds)} per workload, seeds {args.seeds}, alternating "
                  "which side ran first (parent first on even offsets); each cell "
                  "is [q1, median, q3] over the runs (inclusive quartiles)",
         "end_to_end": {},
-        f"traced_seed_{args.traced_seed}": {
+        f"traced_seed_{TRACED_SEED}": {
             "command": f"python3 perfbench/run.py --workload W --seed "
-                       f"{args.traced_seed} --seconds {args.seconds:g} --trace 1",
+                       f"{TRACED_SEED} --seconds {seconds:g} --trace 1",
             "workloads": {}},
     }
-    traced = record[f"traced_seed_{args.traced_seed}"]
-    for name in names:
+    traced = record[f"traced_seed_{TRACED_SEED}"]
+    for name in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
         for offset, seed in enumerate(seeds):
             order = SIDES if offset % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(bench(checkouts[side], name, seed, args.seconds, 0))
+                runs[side].append(bench(checkouts[side], name, seed, seconds, 0))
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['wall_s']['value']:.3f} s"
                 for side in SIDES), file=sys.stderr, flush=True)
         record["end_to_end"][name] = summarize(runs, better)
-        layers = {side: bench(checkouts[side], name, args.traced_seed,
-                              args.seconds, 1)["metrics"] for side in SIDES}
+        layers = {side: bench(checkouts[side], name, TRACED_SEED, seconds, 1)["metrics"]
+                  for side in SIDES}
         traced["workloads"][name] = {
             metric: [round(layers[side][metric]["value"], 6) for side in SIDES]
             for metric in layers["parent"]}
-        out_path.write_text(json.dumps(record, indent=1) + "\n")
+    out_path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
