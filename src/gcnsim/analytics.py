@@ -67,18 +67,16 @@ class MetricsReport:
 # --- analytic discovery-reach predictor -----------------------------------
 
 def predict_discovery_fraction(group_prob: float, density: float, tx_radius: float,
-                               source_ttl: int, exponent: str = "negative",
-                               radius_term: str = "printed") -> float:
+                               source_ttl: int, radius_term: str = "printed") -> float:
     """First-order estimate of the fraction of members found by discovery.
 
-    The estimate is 1 - exp(s * P_g * density * pi * (r_eff * T)^2) where
+    The estimate is 1 - exp(-P_g * density * pi * (r_eff * T)^2) where
     r_eff is the transmit radius minus a mean-spacing correction, floored at
     zero.  Two readings of the correction are available: "printed" uses
     1/(2*density) and "sqrt" uses 1/(2*sqrt(density)); the latter is
     dimensionally consistent (a length) and fits the brute-force oracle far
-    better.  `exponent` selects the sign s: "negative" (the default, which
-    keeps the value inside [0, 1]) or "printed" (positive; documentation
-    mode only, the result is not a probability).
+    better.  The paper prints the exponent with a positive sign, which would
+    give a value below zero, not a probability.
     """
     if radius_term == "sqrt":
         correction = 1.0 / (2.0 * math.sqrt(density))
@@ -87,12 +85,7 @@ def predict_discovery_fraction(group_prob: float, density: float, tx_radius: flo
     else:
         raise ValueError("radius_term must be 'printed' or 'sqrt'")
     r_eff = max(0.0, tx_radius - correction)
-    magnitude = group_prob * density * math.pi * (r_eff * source_ttl) ** 2
-    if exponent == "negative":
-        return 1.0 - math.exp(-magnitude)
-    if exponent == "printed":
-        return 1.0 - math.exp(magnitude)
-    raise ValueError("exponent must be 'negative' or 'printed'")
+    return 1.0 - math.exp(-group_prob * density * math.pi * (r_eff * source_ttl) ** 2)
 
 
 # --- brute-force discovery oracle -----------------------------------------

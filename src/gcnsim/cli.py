@@ -119,19 +119,33 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _invalid(scenario: Scenario, label: str) -> bool:
+    """Print every violation of `scenario` under `label`; True if there is one."""
+    violations = validate_scenario(scenario)
+    for v in violations:
+        print(f"invalid scenario for {label}: {v}", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_compare(args) -> int:
     preset = get_preset(args.preset)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    if not protocols:
+        raise ConfigurationError(f"--protocols {args.protocols!r} names no protocol")
     seeds = parse_seeds(args.seeds) if args.seeds else preset.scenario.seeds
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)  # before any seed runs
-    rows = []
+    scenarios = []  # every protocol is checked before any seed runs
     for proto in protocols:
         scenario = copy.deepcopy(preset.scenario)
         scenario.protocol = proto
+        if _invalid(scenario, f"protocol={proto}"):
+            return 2
+        scenarios.append(scenario)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # before any seed runs
+    rows = []
+    for scenario in scenarios:
         results = run_batch(scenario, seeds)
-        summary = aggregate([r for _, _, r in results])
-        rows.append((proto, summary))
+        rows.append((scenario.protocol, aggregate([r for _, _, r in results])))
     cols = ["delivery_rate", "bytes_control", "bytes_data", "bytes_total"]
     header = "protocol  " + "  ".join(f"{c:>14}" for c in cols)
     print(header)
@@ -198,10 +212,7 @@ def cmd_sweep(args) -> int:
     for raw in values:
         scenario = copy.deepcopy(preset.scenario)
         _set_param(scenario, args.param, raw)  # main reports a bad value
-        violations = validate_scenario(scenario)
-        for v in violations:
-            print(f"invalid scenario for {args.param}={raw}: {v}", file=sys.stderr)
-        if violations:
+        if _invalid(scenario, f"{args.param}={raw}"):
             return 2
         scenarios.append((raw, scenario))
     with (open(args.out, "w", newline="", encoding="utf-8") if args.out

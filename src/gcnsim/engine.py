@@ -15,7 +15,7 @@ import heapq
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
-from .geometry import CellList, bfs_hops, unit_disk_adjacency
+from .geometry import bfs_hops, unit_disk_adjacency
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, validate_scenario)
@@ -88,15 +88,14 @@ class Run:
                 self._movers.append((nid, init_motion(
                     scenario.mobility, self.positions[nid], 0.0, rng,
                     self._placement_radius), rng))
-        # Geometry state of the current positions: the cell list, the
-        # unit-disk graph, and node id -> [(neighbour id, per)] in id order
-        # over every neighbour the channel can reach.  A static run builds
+        # Geometry state of the current positions: the unit-disk graph, and
+        # node id -> [(neighbour id, per)] in id order over every neighbour
+        # the channel can reach, priced from the graph.  A static run builds
         # the graph and every row at set-up; a mobile run builds each on
         # first use after a move (a sender's row when it first transmits),
         # and `_sync_positions` drops them together.  Plain attributes, not
         # cached properties: reading `__dict__` would slow every attribute
         # read for the rest of the run
-        self._cells = None
         self._unit_disk = None
         self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
 
@@ -116,7 +115,7 @@ class Run:
         """Every node's neighbour row, priced from the unit-disk graph, which
         the flood oracle then reuses; each pair is priced once."""
         spec, positions = self.sc.channel, self.positions
-        adj = self._unit_disk = unit_disk_adjacency(positions, self.sc.tx_radius)
+        adj = self._graph()
         cache = {a: [] for a in adj}
         for a, row in adj.items():
             pos, entries = positions[a], cache[a]
@@ -129,23 +128,21 @@ class Run:
         return cache
 
     def _neighbor_row(self, sender: int) -> list:
-        """A mobile run's row for one sender, priced from the current
-        positions; certain-loss pairs are left out."""
+        """A mobile run's row for one sender, priced from the graph of the
+        current positions (the caller has synced them); certain-loss pairs
+        are left out."""
         spec, positions = self.sc.channel, self.positions
-        if self._cells is None:
-            self._cells = CellList(positions, self.sc.tx_radius)
         pos = positions[sender]
         row = []
-        for other in self._cells.in_range(sender):
+        for other in self._graph()[sender]:
             per = channel_mod.per_at(spec, pos.distance_to(positions[other]))
             if per < 1.0:
                 row.append((other, per))
         return row
 
     def _graph(self) -> dict:
-        """The unit-disk graph of the current positions."""
-        if self._mobile:
-            self._sync_positions()
+        """The unit-disk graph of the positions as they stand: a mobile
+        caller syncs them first."""
         if self._unit_disk is None:
             self._unit_disk = unit_disk_adjacency(self.positions, self.sc.tx_radius)
         return self._unit_disk
@@ -275,6 +272,8 @@ class Run:
         """
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:
+            if self._mobile:
+                self._sync_positions()
             ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
                                  sender, adj=self._graph())
             self._smf_ttl_by_sender[sender] = ttl
@@ -349,7 +348,7 @@ class Run:
         self._tick = due
         # everything derived from the old positions is stale
         self._neighbor_cache.clear()
-        self._cells = self._unit_disk = None
+        self._unit_disk = None
 
     def _do_sample(self) -> None:
         if self._mobile:

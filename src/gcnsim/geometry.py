@@ -1,8 +1,8 @@
 """Who is within the radius, decided here and nowhere else, by one rule:
-`dx*dx + dy*dy <= r*r`.  The cell list answers it for one node (a mobile
-run's neighbour rows), `unit_disk_adjacency` for every pair (a static run's
-rows and the flood oracle's graph), and `reached_count` along a depth-first
-connectivity search that builds no graph.
+`dx*dx + dy*dy <= r*r`.  `unit_disk_adjacency` answers it for every pair (the
+graph that prices every channel row, static or mobile, and gives the flood
+oracle its hop counts), and `reached_count` along a depth-first connectivity
+search that builds no graph.
 """
 
 from __future__ import annotations
@@ -14,42 +14,18 @@ from collections import defaultdict
 _WIDEN = 1.0 + 1e-6
 
 
-class CellList:
-    """Node positions bucketed on square cells at least one radius wide, so
-    every pair in range lies in one 3×3 block of cells."""
-
-    def __init__(self, positions: dict, radius: float):
-        self.positions = positions
-        self.width = radius * _WIDEN
-        self.r2 = radius * radius
-        self.cells = defaultdict(list)
-        for nid, p in positions.items():
-            self.cells[self._cell(p)].append((nid, p.x, p.y))
-
-    def _cell(self, p) -> tuple:
-        return math.floor(p.x / self.width), math.floor(p.y / self.width)
-
-    def in_range(self, nid: int) -> list:
-        """The ids in range of node `nid`, sorted."""
-        p = self.positions[nid]
-        x, y, r2 = p.x, p.y, self.r2
-        cx, cy = self._cell(p)
-        found = [j for i in (cx - 1, cx, cx + 1) for k in (cy - 1, cy, cy + 1)
-                 for j, qx, qy in self.cells.get((i, k), ())
-                 if j != nid and (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2]
-        found.sort()
-        return found
-
-
 def unit_disk_adjacency(positions: dict, tx_radius: float) -> dict:
     """positions: NodeId -> Position.  Returns NodeId -> neighbours by id.
 
-    Each candidate pair is tested once: a cell against itself and against
-    its four forward neighbours, so that every pair of adjacent cells meets
-    exactly once."""
+    Nodes are bucketed on square cells at least one radius wide, so every
+    pair in range lies in one cell or in two adjacent ones.  Each candidate
+    pair is tested once: a cell against itself and against its four forward
+    neighbours, so that every pair of adjacent cells meets exactly once."""
     adj = {i: [] for i in sorted(positions)}
-    grid = CellList(positions, tx_radius)
-    cells, r2 = grid.cells, grid.r2
+    width, r2 = tx_radius * _WIDEN, tx_radius * tx_radius
+    cells = defaultdict(list)
+    for i, p in positions.items():
+        cells[math.floor(p.x / width), math.floor(p.y / width)].append((i, p.x, p.y))
     for (cx, cy), here in cells.items():
         for key in ((cx, cy), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
                     (cx, cy + 1)):

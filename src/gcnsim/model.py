@@ -120,9 +120,28 @@ class Scenario:
     members_forward_data: bool = True
 
 
+def _non_finite(value) -> list:
+    """The paths (".timing.ack_delay_max", ".traffic.flows[0].rate") to every
+    NaN or infinite float in a dataclass, list or tuple; ints are skipped,
+    as none can be either."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [""]
+    if isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    elif is_dataclass(value):
+        items = vars(value).items()
+    else:
+        return []
+    return [(f"[{k}]" if type(k) is int else f".{k}") + path
+            for k, v in items if not isinstance(v, int) for path in _non_finite(v)]
+
+
 def validate_scenario(sc: Scenario) -> list:
-    """Return a list of human-readable invariant violations (empty = valid)."""
-    out = []
+    """Return a list of human-readable invariant violations (empty = valid).
+
+    Every number must be finite: JSON and `--values` both accept NaN and
+    infinity, and a flow rate of either would never finish scheduling."""
+    out = [f"{path[1:]}: must be finite" for path in _non_finite(sc)]
     if sc.num_users < 1:
         out.append("num_users: must be >= 1")
     if not (0.0 < sc.group_prob <= 1.0):
@@ -132,7 +151,7 @@ def validate_scenario(sc: Scenario) -> list:
         out.append("region_radius: must be positive")
     if sc.outer_radius is not None and sc.outer_radius < sc.region_radius:
         out.append("outer_radius: must be >= region_radius")
-    if not sc.tx_radius > 0:  # NaN fails too
+    if sc.tx_radius <= 0:
         out.append("tx_radius: must be positive")
     if sc.source_ttl < 1:
         out.append("source_ttl: must be >= 1")

@@ -343,12 +343,3 @@ class GcnNode:
         self.dup_cache.add(msg_id)
         actions.append(Transmit(out, self._jitter()))
         return actions
-
-    def handle(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        if pkt.kind == "discovery":
-            return self.on_discovery(pkt, sender, now)
-        if pkt.kind == "ack":
-            return self.on_ack(pkt, sender, now)
-        if pkt.kind == "data":
-            return self.on_data(pkt, sender, now)
-        raise ProtocolError(f"unknown packet kind {pkt.kind!r}")

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: compact scenario builders, hand-built
-topologies, and a tiny synchronous pump for driving protocol nodes without
-the event engine.
+topologies, and static engine runs placed on them.  A protocol property is
+checked on such a run: the test builds a send with the node's own method,
+pushes it through `Run._apply_actions` before `run()`, and reads node state
+after the run.
 """
 
 import random
@@ -10,7 +12,7 @@ import pytest
 import gcnsim.engine as engine_mod
 from gcnsim.model import (ChannelSpec, MobilitySpec, Position, Scenario,
                           TimingParams, TrafficFlow, TrafficSpec)
-from gcnsim.protocol import GcnNode, SendAck, Transmit
+from gcnsim.protocol import GcnNode
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -38,12 +40,14 @@ def line_positions(n: int, spacing: float = 30.0) -> dict:
     return {i: Position(i * spacing, 0.0) for i in range(n)}
 
 
-def run_on(monkeypatch, positions: dict, **overrides) -> engine_mod.Run:
-    """A static Run placed on `positions`: every node a member, the lowest id
-    the source."""
-    nodes = [(nid, p, True) for nid, p in sorted(positions.items())]
+def run_on(monkeypatch, positions: dict, members=None,
+           **overrides) -> engine_mod.Run:
+    """A static Run placed on `positions`: `members` the group (every node
+    when None), the lowest member id the source."""
+    members = set(positions if members is None else members)
+    nodes = [(nid, p, nid in members) for nid, p in sorted(positions.items())]
     monkeypatch.setattr(engine_mod, "build_world",
-                        lambda sc, seed: (nodes, min(positions)))
+                        lambda sc, seed: (nodes, min(members)))
     sc = small_scenario(num_users=len(positions), group_prob=1.0, **overrides)
     return engine_mod.Run(sc, 0, collect_trace=False)
 
@@ -52,41 +56,6 @@ def make_node(node_id=0, is_member=False, source_ttl=3, desired_relays=1,
               seed=0, **kwargs) -> GcnNode:
     return GcnNode(node_id, is_member, 0, source_ttl, desired_relays,
                    random.Random(seed), **kwargs)
-
-
-class Pump:
-    """Synchronous loss-free broadcast pump for GcnNode graphs.
-
-    Delivers every Transmit to all neighbors immediately (breadth-first),
-    ignoring the requested jitter; SendAck actions are collected so relay
-    election can be driven explicitly.
-    """
-
-    def __init__(self, nodes: dict, adj: dict):
-        self.nodes = nodes
-        self.adj = adj
-        self.pending_acks: list = []
-        self.transmissions: list = []  # (sender, packet)
-
-    def run(self, initial_actions: list, origin) -> None:
-        queue = [(origin, act) for act in initial_actions]
-        while queue:
-            node_id, act = queue.pop(0)
-            if isinstance(act, SendAck):
-                self.pending_acks.append(node_id)
-                continue
-            if not isinstance(act, Transmit):
-                continue
-            self.transmissions.append((node_id, act.packet))
-            for other in self.adj[node_id]:
-                out = self.nodes[other].handle(act.packet, node_id, 0.0)
-                queue.extend((other, a) for a in out)
-
-    def fire_acks(self) -> None:
-        """Issue every pending ACK, including ones triggered by cascades."""
-        while self.pending_acks:
-            node_id = self.pending_acks.pop(0)
-            self.run(self.nodes[node_id].make_ack(), node_id)
 
 
 @pytest.fixture

@@ -13,12 +13,13 @@ GCNSIM_FULL=1 to run every criterion at the full 50 seeds.
 
 import math
 import os
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from multiprocessing import get_context
+
+import pytest
 
 from gcnsim.analytics import (discovered_member_fraction,
                               discovery_reach_set, mc_discovery_oracle,
@@ -329,34 +330,9 @@ def test_criterion_8_property_suites():
     checks.append(("ACP relay-count expectation", abs(count - n * p) <= 3 * sigma,
                    f"{count} activations vs {n * p:.0f} ± {3 * sigma:.0f}"))
 
-    from test_properties import _corridor_oracle
-    from conftest import Pump
-    from gcnsim.model import Position
-    from gcnsim.protocol import GcnNode
-    master = random.Random(99)
-    mismatches = 0
-    for case in range(200):
-        nnodes = master.randrange(5, 31)
-        positions = {i: Position(master.uniform(0, 100), master.uniform(0, 100))
-                     for i in range(nnodes)}
-        adj = unit_disk_adjacency(positions, 35.0)
-        dest = master.randrange(nnodes)
-        delta = bfs_hops(adj, dest)
-        del delta[dest]
-        if not delta:
-            continue
-        origin = master.choice(sorted(delta))
-        offset = master.choice((-1, 0, 1))
-        nodes = {i: GcnNode(i, True, 0, 3, 1, random.Random(case * 50 + i))
-                 for i in range(nnodes)}
-        for i, d in delta.items():
-            nodes[i].distance[dest] = (1_000_000, d)
-        pump = Pump(nodes, adj)
-        pump.run(nodes[origin].send_targeted([dest], offset, 100), origin)
-        engine_tx = {s for s, _ in pump.transmissions}
-        oracle_tx, oracle_del = _corridor_oracle(adj, delta, origin, dest, offset)
-        if engine_tx != oracle_tx or bool(nodes[dest].delivered) != oracle_del:
-            mismatches += 1
+    from test_properties import corridor_mismatches
+    with pytest.MonkeyPatch.context() as mp:  # placed runs, undone before the preset run
+        mismatches = len(corridor_mismatches(mp, 99, 200))
     checks.append(("corridor equivalence", mismatches == 0,
                    f"{mismatches} mismatches over 200 sampled instances "
                    "(the full 1000-instance suite runs in the property tests)"))

@@ -44,17 +44,9 @@ def test_predictor_printed_correction_floors_radius():
                                       radius_term="printed") == 0.0
 
 
-def test_predictor_printed_exponent_is_not_a_probability():
-    val = predict_discovery_fraction(0.05, DENSITY, 40.0, 3,
-                                     exponent="printed", radius_term="sqrt")
-    assert val < 0.0
-
-
 def test_predictor_rejects_unknown_modes():
     with pytest.raises(ValueError):
         predict_discovery_fraction(0.1, DENSITY, 40.0, 2, radius_term="bogus")
-    with pytest.raises(ValueError):
-        predict_discovery_fraction(0.1, DENSITY, 40.0, 2, exponent="bogus")
 
 
 # --- discovery oracle on crafted graphs -----------------------------------

@@ -41,7 +41,7 @@ def test_base_loss_scaling_arithmetic():
     assert per_at(spec, 10.0) == pytest.approx(1.0)
 
 
-def test_no_curve_no_flat_means_lossless_in_range():
+def test_no_curve_no_flat_means_lossless_within_the_radius():
     spec = ChannelSpec(flat_per=None, curve_points=None)
     assert per_at(spec, 10.0) == 0.0
 

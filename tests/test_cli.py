@@ -271,6 +271,51 @@ def test_compare_runs_both_protocols(capsys):
     assert "bytes_total" in printed
 
 
+def no_runs(*args, **kwargs):
+    raise AssertionError("a seed ran before the input was checked")
+
+
+@pytest.mark.parametrize("protocols, why", [
+    (" , ", "error: --protocols ' , ' names no protocol"),
+    ("gcn,flood", "invalid scenario for protocol=flood: protocol: must be"),
+], ids=["empty", "unknown"])
+def test_compare_checks_every_protocol_before_any_seed(protocols, why, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    assert main(["compare", "discovery_reach", "--protocols", protocols,
+                 "--seeds", "0..3"]) == 2
+    captured = capsys.readouterr()
+    assert why in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("param, raw, path", [
+    ("duration", "inf", "duration"),
+    ("forward_jitter_max", "nan", "timing.forward_jitter_max"),
+])
+def test_sweep_non_finite_value_exits_2_before_any_seed(param, raw, path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    assert main(["sweep", "discovery_reach", "--param", param, "--values", raw,
+                 "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert f"invalid scenario for {param}={raw}: {path}: must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+def test_run_non_finite_flow_rate_exits_2_before_any_seed(literal, tmp_path, capsys,
+                                                          monkeypatch):
+    # `--param` cannot reach a flow (flows are a list), but a scenario file
+    # can: json.load reads these literals, and such a rate never ends the
+    # flow's schedule
+    scenario = write_small(tmp_path)
+    scenario.write_text(scenario.read_text().replace('"rate": 2.0', f'"rate": {literal}'))
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "invalid scenario: traffic.flows[0].rate: must be finite" in captured.err
+
+
 def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     assert main(["sweep", "discovery_reach", "--param", "source_ttl",
@@ -285,8 +330,6 @@ def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
                                   ["run", "SCENARIO", "--seeds", "0"]])
 def test_unwritable_out_exits_2_before_any_seed(argv, tmp_path, capsys,
                                                 monkeypatch):
-    def no_runs(*args, **kwargs):
-        raise AssertionError("a seed ran before --out was checked")
     scenario = str(write_small(tmp_path))
     monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
     (tmp_path / "file").write_text("")

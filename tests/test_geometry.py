@@ -1,5 +1,6 @@
-"""Geometry: the cell-list pair search, the graph-free connectivity search and
-the channel's neighbour rows, each against a brute-force reference."""
+"""Geometry: the unit-disk graph's cell search, the graph-free connectivity
+search and the channel's neighbour rows, each against a brute-force
+reference."""
 
 import math
 import random
@@ -13,14 +14,14 @@ from conftest import run_on, small_scenario
 from gcnsim.analytics import connectivity_sample
 from gcnsim.channel import default_curve_points, per_at
 from gcnsim.engine import Run
-from gcnsim.geometry import CellList, unit_disk_adjacency
+from gcnsim.geometry import unit_disk_adjacency
 from gcnsim.model import ChannelSpec, MobilitySpec, Position, uniform_disk_point
 
 
 # --- brute-force references -----------------------------------------------
 
 def pairwise_adjacency(positions: dict, tx_radius: float) -> dict:
-    """The O(n²) loop the cell list replaced, kept as the reference."""
+    """The O(n²) loop the cell search replaced, kept as the reference."""
     ids = sorted(positions)
     adj = {i: [] for i in ids}
     r2 = tx_radius * tx_radius
@@ -104,16 +105,6 @@ def test_cell_list_adjacency_equals_pairwise_loop(world):
     want = pairwise_adjacency(positions, r)
     assert adj == want
     assert list(adj) == list(want)  # keys in id order, as before
-
-
-@settings(max_examples=200, deadline=None)
-@given(world=placements())
-def test_cell_list_query_equals_brute_force_in_range_set(world):
-    positions, r = world
-    grid = CellList(positions, r)
-    want = pairwise_adjacency(positions, r)
-    for i in positions:
-        assert grid.in_range(i) == want[i]
 
 
 @st.composite

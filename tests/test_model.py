@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT, ChannelSpec,
-                          ConfigurationError, Position, Scenario, TimingParams,
-                          TrafficFlow, TrafficSpec, make_rng, place_nodes,
-                          save_scenario, scenario_from_dict, scenario_to_dict,
-                          load_scenario, uniform_disk_point, validate_scenario)
+                          ConfigurationError, MobilitySpec, Position, Scenario,
+                          TimingParams, TrafficFlow, TrafficSpec, make_rng,
+                          place_nodes, save_scenario, scenario_from_dict,
+                          scenario_to_dict, load_scenario, uniform_disk_point,
+                          validate_scenario)
 from gcnsim.presets import PRESETS
 
 
@@ -162,6 +163,40 @@ def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)
     problems = validate_scenario(sc)
     assert any(fragment in p for p in problems)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _flow(**kw):
+    return TrafficSpec(flows=[TrafficFlow(stop=5.0, **kw)])
+
+
+@pytest.mark.parametrize("patch,path", [
+    (dict(traffic=_flow(rate=INF)), "traffic.flows[0].rate"),
+    (dict(traffic=_flow(rate=NAN)), "traffic.flows[0].rate"),
+    (dict(traffic=_flow(start=-INF)), "traffic.flows[0].start"),
+    (dict(timing=TimingParams(forward_jitter_max=NAN)), "timing.forward_jitter_max"),
+    (dict(timing=TimingParams(ack_delay_max=INF)), "timing.ack_delay_max"),
+    (dict(timing=TimingParams(rediscovery_period=NAN)), "timing.rediscovery_period"),
+    (dict(timing=TimingParams(distance_refresh_period=INF)),
+     "timing.distance_refresh_period"),
+    (dict(duration=NAN), "duration"),
+    (dict(duration=INF), "duration"),
+    (dict(region_radius=NAN), "region_radius"),
+    (dict(region_radius=INF), "region_radius"),
+    (dict(outer_radius=NAN), "outer_radius"),
+    (dict(outer_radius=INF), "outer_radius"),
+    (dict(tx_radius=NAN), "tx_radius"),
+    (dict(tx_radius=INF), "tx_radius"),
+    (dict(channel=ChannelSpec(base_loss=NAN)), "channel.base_loss"),
+    (dict(channel=ChannelSpec(flat_per=None, curve_points=[(10.0, 0.1), (INF, 0.5)])),
+     "channel.curve_points[1][0]"),
+    (dict(mobility=MobilitySpec(speed_max=INF)), "mobility.speed_max"),
+])
+def test_validate_rejects_every_non_finite_number(patch, path):
+    # validation alone: a scenario like these is never run
+    assert f"{path}: must be finite" in validate_scenario(Scenario(**patch))
 
 
 def test_validate_nested_specs():

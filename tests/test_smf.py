@@ -6,7 +6,7 @@ import warnings
 import networkx as nx
 import pytest
 
-from conftest import line_positions
+from conftest import line_positions, run_on
 from gcnsim.model import Position
 from gcnsim.packets import Packet
 from gcnsim.protocol import Deliver, Transmit
@@ -128,9 +128,10 @@ def test_min_ttl_matches_independent_shortest_paths():
         assert got == prebuilt == want, f"seed {seed}"
 
 
-def test_min_ttl_flood_actually_reaches_group():
-    # simulate the flood with SmfNode at the oracle TTL: every member hears;
-    # at TTL-1 (when positive) someone is missed for at least one instance
+def test_min_ttl_flood_actually_reaches_group(monkeypatch):
+    # flood at the oracle TTL on a loss-free static engine run with the
+    # default jitter: every member hears; with a smaller budget someone is
+    # missed for at least one instance
     missed_at_lower = 0
     for seed in range(20):
         rng = random.Random(1000 + seed)
@@ -146,19 +147,14 @@ def test_min_ttl_flood_actually_reaches_group():
         ttl = min_ttl_oracle(positions, 30.0, group, source=source)
 
         def flood(t):
-            nodes = {i: make_smf(i, i in group, seed=i) for i in range(n)}
-            queue = list(nodes[source].send_flood(t, 10))
-            heard = {source}
-            senders = [source] * len(queue)
-            while queue:
-                act = queue.pop(0)
-                sender = senders.pop(0)
-                for v in adj[sender]:
-                    heard.add(v)
-                    for a in transmits(nodes[v].on_data(act.packet, sender, 0.0)):
-                        queue.append(a)
-                        senders.append(v)
-            return heard
+            """The nodes that heard a flood of budget `t` (and its source)."""
+            run = run_on(monkeypatch, positions, members=group, protocol="smf",
+                         tx_radius=30.0)
+            send = run.nodes[source].send_flood(t, 10)
+            msg_id = send[0].packet.msg_id
+            run._apply_actions(source, send)
+            run.run()
+            return {i for i, node in run.nodes.items() if msg_id in node.dup_cache}
 
         assert group <= flood(ttl)
         # hearers extend one hop beyond the last forwarder, so the tight
