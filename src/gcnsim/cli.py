@@ -41,20 +41,24 @@ def _worker(args):
     return seed, trace, report
 
 
-def run_batch(scenario: Scenario, seeds: list, want_trace: bool = False) -> list:
-    """Run all seeds, optionally in parallel; results ordered by seed."""
-    raw = os.environ.get("GCNSIM_WORKERS", "1")
+def run_batch(jobs: list) -> list:
+    """(seed, trace, report) of each (scenario, seed, want_trace) job, in job order."""
+    raw = os.environ.get("GCNSIM_WORKERS", str(os.cpu_count() or 1))
     try:
-        workers = int(raw)
+        workers = min(int(raw), len(jobs))
     except ValueError:
         raise ConfigurationError(f"GCNSIM_WORKERS={raw!r} is not an integer") from None
-    jobs = [(scenario, seed, want_trace) for seed in seeds]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, jobs))
-    else:
-        results = [_worker(job) for job in jobs]
-    return sorted(results, key=lambda item: item[0])
+    if workers <= 1:
+        return list(map(_worker, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_worker, jobs))
+
+
+def _run_groups(groups: list, want_trace: bool = False) -> list:
+    """Each (scenario, seeds) group's results in seed order, run as one job list."""
+    results = iter(run_batch([(scenario, seed, want_trace)
+                              for scenario, seeds in groups for seed in sorted(seeds)]))
+    return [[next(results) for _ in seeds] for _, seeds in groups]
 
 
 def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
@@ -110,7 +114,7 @@ def cmd_run(args) -> int:
             print(f"invalid scenario: {v}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)  # before any seed runs
-    results = run_batch(scenario, scenario.seeds, want_trace=args.trace)
+    [results] = _run_groups([(scenario, scenario.seeds)], args.trace)
     write_outputs(results, args.out, args.trace)
     summary = aggregate([r for _, _, r in results])
     for metric in sorted(summary):
@@ -142,10 +146,8 @@ def cmd_compare(args) -> int:
         scenarios.append(scenario)
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # before any seed runs
-    rows = []
-    for scenario in scenarios:
-        results = run_batch(scenario, seeds)
-        rows.append((scenario.protocol, aggregate([r for _, _, r in results])))
+    rows = [(sc.protocol, aggregate([r for _, _, r in results])) for sc, results
+            in zip(scenarios, _run_groups([(sc, seeds) for sc in scenarios]))]
     cols = ["delivery_rate", "bytes_control", "bytes_data", "bytes_total"]
     header = "protocol  " + "  ".join(f"{c:>14}" for c in cols)
     print(header)
@@ -169,9 +171,10 @@ def cmd_compare(args) -> int:
 
 
 def _set_param(scenario: Scenario, name: str, raw: str) -> None:
-    """Assign a scenario field by (possibly dotted) name, coercing the type
-    from the current value."""
-    target = scenario
+    """Assign one scenario value by (possibly dotted) name, coercing the type
+    from the current value.  An integer part indexes a list
+    ("traffic.flows.0.rate"), and a bare name may name a field of a nested
+    spec ("base_loss")."""
     parts = name.split(".")
     if len(parts) == 1 and not hasattr(scenario, parts[0]):
         # search one level of nested specs for a bare name
@@ -180,12 +183,17 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
             if dataclasses.is_dataclass(sub) and hasattr(sub, parts[0]):
                 parts = [fld.name, parts[0]]
                 break
-    for part in parts[:-1]:
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if not hasattr(target, leaf):
-        raise ConfigurationError(f"unknown scenario parameter {name!r}")
-    current = getattr(target, leaf)
+    current = scenario
+    for part in parts:
+        target = current
+        if isinstance(target, list) and part.isdecimal() and int(part) < len(target):
+            current = target[int(part)]
+        elif dataclasses.is_dataclass(target) and part in vars(target):
+            current = getattr(target, part)
+        else:
+            raise ConfigurationError(f"unknown scenario parameter {name!r}")
+    if dataclasses.is_dataclass(current) or isinstance(current, (list, tuple)):
+        raise ConfigurationError(f"scenario parameter {name!r} is not one value")
     try:
         if raw.lower() in ("none", "null"):
             value = None
@@ -199,7 +207,10 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
             value = raw
     except ValueError:
         raise ConfigurationError(f"--values {raw!r} is not a valid {name!r}") from None
-    setattr(target, leaf, value)
+    if isinstance(target, list):
+        target[int(part)] = value
+    else:
+        setattr(target, part, value)
 
 
 def cmd_sweep(args) -> int:
@@ -214,13 +225,13 @@ def cmd_sweep(args) -> int:
         _set_param(scenario, args.param, raw)  # main reports a bad value
         if _invalid(scenario, f"{args.param}={raw}"):
             return 2
-        scenarios.append((raw, scenario))
+        scenarios.append(scenario)
     with (open(args.out, "w", newline="", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(["param", "value", "seed", "metric", "metric_value"])
-        for raw, scenario in scenarios:
-            for seed, _trace, report in run_batch(scenario, seeds):
+        for raw, results in zip(values, _run_groups([(sc, seeds) for sc in scenarios])):
+            for seed, _trace, report in results:
                 for metric, value in sorted(report.to_scalars().items()):
                     writer.writerow([args.param, raw, seed, metric, value])
     return 0
@@ -229,15 +240,16 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     """Regression-check a preset (or all) against its expected values."""
     names = [args.preset] if args.preset else sorted(PRESETS)
+    presets = [get_preset(name) for name in names]
+    seeds = parse_seeds(args.seeds) if args.seeds else None
+    batches = iter(_run_groups([(p.scenario, seeds or p.scenario.seeds)
+                                for p in presets if p.expected]))
     failed = False
-    for name in names:
-        preset = get_preset(name)
+    for name, preset in zip(names, presets):
         if not preset.expected:
             print(f"{name}: no expected values, skipped")
             continue
-        seeds = parse_seeds(args.seeds) if args.seeds else preset.scenario.seeds
-        results = run_batch(preset.scenario, seeds)
-        summary = aggregate([r for _, _, r in results])
+        summary = aggregate([r for _, _, r in next(batches)])
         for exp in preset.expected:
             mean = summary.get(exp.metric, {}).get("mean")
             if mean is None:

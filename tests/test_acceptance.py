@@ -14,16 +14,14 @@ GCNSIM_FULL=1 to run every criterion at the full 50 seeds.
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import partial
-from multiprocessing import get_context
 
 import pytest
 
 from gcnsim.analytics import (discovered_member_fraction,
                               discovery_reach_set, mc_discovery_oracle,
                               predict_discovery_fraction)
+from gcnsim.cli import run_batch
 from gcnsim.engine import Run, run_scenario, trace_hash
 from gcnsim.model import MobilitySpec, TimingParams
 from gcnsim.presets import get_preset
@@ -38,12 +36,9 @@ def seeds(fast_count: int) -> list:
 
 
 def batch(scenario, seed_list):
-    """Reports in seed order; a run is a pure function of (scenario, seed),
-    so mapping the seeds over a pool changes no report."""
-    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
-                             mp_context=get_context("spawn")) as pool:
-        return [report for _trace, report in pool.map(
-            partial(run_scenario, scenario, collect_trace=False), seed_list)]
+    """Reports in `seed_list` order, run as the CLI runs a job list."""
+    return [report for _, _, report in run_batch(
+        [(scenario, seed, False) for seed in seed_list])]
 
 
 def mean(values):

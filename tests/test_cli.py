@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.cli import main, parse_seeds, trace_lines
 from gcnsim.model import ChannelSpec, TrafficFlow, TrafficSpec, save_scenario
+from gcnsim.presets import get_preset
 
 
 def write_small(tmp_path, **overrides):
@@ -348,3 +350,119 @@ def test_malformed_workers_exits_2_without_a_pool(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "error: GCNSIM_WORKERS='abc' is not an integer" in captured.err
     assert captured.out == ""
+
+
+def recording_batch(jobs: list):
+    """A `run_batch` that records its jobs and runs none of them."""
+    def run(batch):
+        jobs.extend(batch)
+        return [(seed, [], SimpleNamespace(to_scalars=dict)) for _, seed, _ in batch]
+    return run
+
+
+@pytest.mark.parametrize("preset, param, raw, why", [
+    ("resiliency_sweep", "traffic.flows.0.rate", "inf", "invalid scenario for "
+     "traffic.flows.0.rate=inf: traffic.flows[0].rate: must be finite"),
+    ("discovery_reach", "traffic.flows.0.rate", "2",   # a preset with no flows
+     "error: unknown scenario parameter 'traffic.flows.0.rate'"),
+    ("resiliency_sweep", "traffic.flows.1.rate", "2",
+     "error: unknown scenario parameter 'traffic.flows.1.rate'"),
+    ("resiliency_sweep", "traffic.flows.\u00b2.rate", "2",   # a digit int() rejects
+     "error: unknown scenario parameter 'traffic.flows.\u00b2.rate'"),
+    ("discovery_reach", "bogus.x", "1", "error: unknown scenario parameter 'bogus.x'"),
+    ("discovery_reach", "channel.bogus.x", "1",
+     "error: unknown scenario parameter 'channel.bogus.x'"),
+    ("discovery_reach", "source_ttl.real", "1",
+     "error: unknown scenario parameter 'source_ttl.real'"),
+    ("discovery_reach", "channel", "1",
+     "error: scenario parameter 'channel' is not one value"),
+    ("resiliency_sweep", "traffic.flows.0", "1",
+     "error: scenario parameter 'traffic.flows.0' is not one value"),
+    ("discovery_reach", "seeds", "1",
+     "error: scenario parameter 'seeds' is not one value"),
+    ("resiliency_sweep", "traffic.flows.0.rate", "2", None),
+])
+def test_sweep_param_paths(preset, param, raw, why, capsys, monkeypatch):
+    jobs = []
+    monkeypatch.setattr("gcnsim.cli.run_batch", recording_batch(jobs))
+    code = main(["sweep", preset, "--param", param, "--values", raw, "--seeds", "0"])
+    captured = capsys.readouterr()
+    if why is None:  # the value reaches the flow of the swept copy only
+        assert code == 0
+        [(scenario, seed, want_trace)] = jobs
+        assert (seed, want_trace) == (0, False)
+        assert scenario.traffic.flows[0].rate == 2.0
+        assert get_preset(preset).scenario.traffic.flows[0].rate == 1.0
+    else:
+        assert code == 2 and jobs == []
+        assert why in captured.err and captured.out == ""
+
+
+IDENTITY_ARGVS = {
+    "compare": ["compare", "discovery_reach", "--seeds", "2,0,1", "--out", "OUT"],
+    "sweep": ["sweep", "discovery_reach", "--param", "source_ttl", "--values", "2,1",
+              "--seeds", "2,0,1", "--out", "OUT/sweep.csv"],
+    "check": ["check", "discovery_reach", "--seeds", "2,0,1"],
+}
+
+
+@pytest.mark.parametrize("argv", IDENTITY_ARGVS.values(), ids=IDENTITY_ARGVS)
+def test_outputs_do_not_depend_on_the_worker_count(argv, tmp_path, capsys,
+                                                  monkeypatch):
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GCNSIM_WORKERS", workers)
+        out = tmp_path / workers
+        out.mkdir()
+        code = main([a.replace("OUT", str(out)) for a in argv])
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs.append((code, capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
+    code, captured, files = outputs[0]
+    assert code in (0, 1) and captured.err == ""
+    assert (captured.out != "") == (argv[0] != "sweep")  # sweep --out prints nothing
+    assert len(files) == (0 if argv[0] == "check" else 1)
+
+
+@pytest.mark.parametrize("workers, cpus, pools", [
+    ("2", 4, [(2, 6)]),
+    ("8", 4, [(6, 6)]),    # never more processes than jobs
+    (None, 4, [(4, 6)]),   # unset: the CPU count
+    ("1", 4, []),          # 1 or less runs in-process
+    ("0", 4, []),
+    (None, None, []),      # an unknown CPU count counts as 1
+])
+def test_a_sweep_maps_every_job_over_one_pool(workers, cpus, pools, tmp_path,
+                                              monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; runs its jobs in-process."""
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, []
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs.extend(jobs)
+            return map(fn, self.jobs)
+
+    monkeypatch.setattr("gcnsim.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    if workers is None:
+        monkeypatch.delenv("GCNSIM_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("GCNSIM_WORKERS", workers)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "discovery_reach", "--param", "source_ttl",
+                 "--values", "1,2,3,4,5,6", "--seeds", "0", "--out", str(out)]) == 0
+    assert [(pool.max_workers, len(pool.jobs)) for pool in started] == pools
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["value"] for r in rows if r["metric"] == "discovered_fraction"] == \
+        ["1", "2", "3", "4", "5", "6"]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT, ChannelSpec,
+from gcnsim.model import (MAX_TRAFFIC_EVENTS, STREAM_CHANNEL, STREAM_PLACEMENT,
+                          ChannelSpec,
                           ConfigurationError, MobilitySpec, Position, Scenario,
                           TimingParams, TrafficFlow, TrafficSpec, make_rng,
                           place_nodes, save_scenario, scenario_from_dict,
@@ -215,6 +216,29 @@ def test_validate_traffic_flow_bounds():
     sc = Scenario(duration=5.0, traffic=TrafficSpec(
         flows=[one_to_all_flow(start=4.0, stop=9.0)]))
     assert any("flows[0]" in p for p in validate_scenario(sc))
+
+
+def _schedule_problems(**flow) -> list:
+    sc = Scenario(num_users=100, duration=100.0,
+                  traffic=TrafficSpec(flows=[TrafficFlow(start=0.0, stop=100.0, **flow)]))
+    return [p for p in validate_scenario(sc) if p.startswith("traffic.flows:")]
+
+
+def test_validate_bounds_the_traffic_schedule():
+    # validation alone: a run would push every one of these events at set-up
+    assert _schedule_problems(rate=1e9) == [
+        f"traffic.flows: 100000000000 traffic events, more than the "
+        f"{MAX_TRAFFIC_EVENTS} a run may schedule"]
+    # 100 s x rate per sender; "all_members" counts every user as a sender
+    for senders, count in (("source", 1), ("all_members", 100)):
+        rate = MAX_TRAFFIC_EVENTS / (100 * count)
+        assert _schedule_problems(senders=senders, rate=rate) == []
+        assert _schedule_problems(senders=senders, rate=rate + 1) != []
+    # a rate already reported is not counted, so it cannot raise here
+    for rate in (INF, NAN, 0.0, -1.0):
+        assert _schedule_problems(rate=rate) == []
+    for preset in PRESETS.values():
+        assert validate_scenario(preset.scenario) == []
 
 
 # --- serialization --------------------------------------------------------
