@@ -67,24 +67,18 @@ class MetricsReport:
 # --- analytic discovery-reach predictor -----------------------------------
 
 def predict_discovery_fraction(group_prob: float, density: float, tx_radius: float,
-                               source_ttl: int, radius_term: str = "printed") -> float:
+                               source_ttl: int) -> float:
     """First-order estimate of the fraction of members found by discovery.
 
     The estimate is 1 - exp(-P_g * density * pi * (r_eff * T)^2) where
-    r_eff is the transmit radius minus a mean-spacing correction, floored at
-    zero.  Two readings of the correction are available: "printed" uses
-    1/(2*density) and "sqrt" uses 1/(2*sqrt(density)); the latter is
-    dimensionally consistent (a length) and fits the brute-force oracle far
-    better.  The paper prints the exponent with a positive sign, which would
+    r_eff is the transmit radius minus the mean-spacing correction
+    1/(2*sqrt(density)), a length, floored at zero.  The paper prints the
+    correction as 1/(2*density), which at the paper's densities exceeds the
+    radius and so would floor r_eff at zero, predicting no reach at all.
+    The paper also prints the exponent with a positive sign, which would
     give a value below zero, not a probability.
     """
-    if radius_term == "sqrt":
-        correction = 1.0 / (2.0 * math.sqrt(density))
-    elif radius_term == "printed":
-        correction = 1.0 / (2.0 * density)
-    else:
-        raise ValueError("radius_term must be 'printed' or 'sqrt'")
-    r_eff = max(0.0, tx_radius - correction)
+    r_eff = max(0.0, tx_radius - 1.0 / (2.0 * math.sqrt(density)))
     return 1.0 - math.exp(-group_prob * density * math.pi * (r_eff * source_ttl) ** 2)
 
 

@@ -101,11 +101,7 @@ def trace_lines(trace: list):
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(args.scenario)
     if args.seeds:
         scenario.seeds = parse_seeds(args.seeds)
     violations = validate_scenario(scenario)

@@ -2,10 +2,15 @@
 traffic into one simulation run.
 
 All randomness is drawn from named per-(seed, subsystem, node) streams, and
-simultaneous events are ordered by a monotone sequence number, so a run is a
-pure function of (scenario, seed): repeating it yields bit-identical traces
-and metrics.  A transmission's receptions run inline unless another event is
-due at the same instant, so the sequence counts heap pushes, not events.
+simultaneous events are ordered by a heap key, so a run is a pure function of
+(scenario, seed): repeating it yields bit-identical traces and metrics.  Each
+push takes the next number of a sequence, and that number is its key, except
+in a periodic series (rediscovery, distance refresh, each traffic stream, the
+connectivity sample).  Only a series' first event is pushed at set-up; each
+event pushes the next one when it runs, under the key the first one got.  At
+one instant, periodic events thus run in set-up order, before anything pushed
+during the run.  A transmission's receptions run inline unless another event
+is due at the same instant, so the sequence counts heap pushes, not events.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .smf import SmfNode, min_ttl_oracle
 TICKS_PER_S = 10  # mobility ticks fall at k / TICKS_PER_S, k = 1, 2, ...
 SAMPLE_PERIOD = 1.0
 
-# event kinds, ordered only by (time, seq)
+# event kinds, ordered only by (time, key)
 _RX, _TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(7)
 
 
@@ -147,23 +152,17 @@ class Run:
             self._unit_disk = unit_disk_adjacency(self.positions, self.sc.tx_radius)
         return self._unit_disk
 
-    def _push(self, time: float, kind: int, a=None, b=None) -> None:
+    def _push(self, time: float, kind: int, a=None, b=None, key=None) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, a, b))
+        heapq.heappush(self._heap,
+                       (time, self._seq if key is None else key, kind, a, b))
 
     def _schedule_all(self) -> None:
+        """Push the first event of every periodic series."""
         sc = self.sc
         if sc.protocol == "gcn":
             self._push(0.0, _DISCOVER, 0)
-            # every periodic time is k * period: a running sum would drift
-            period, epoch = sc.timing.rediscovery_period, 1
-            while period and epoch * period < sc.duration:
-                self._push(epoch * period, _DISCOVER, epoch)
-                epoch += 1
-            refresh, k = sc.timing.distance_refresh_period, 1
-            while refresh and k * refresh < sc.duration:
-                self._push(k * refresh, _REFRESH)
-                k += 1
+            self._schedule(_REFRESH, 1)
         # SMF per-sender TTLs are computed lazily at send time
         for flow_idx, flow in enumerate(sc.traffic.flows):
             senders = ([self.source] if flow.senders == "source"
@@ -171,15 +170,30 @@ class Run:
             if flow.dests == "source":
                 senders = [s for s in senders if s != self.source]
             for sender in senders:
-                k = 0
-                while True:
-                    t = flow.start + k / flow.rate
-                    if t >= flow.stop:
-                        break
-                    self._push(t, _TRAFFIC, flow_idx, sender)
-                    k += 1
-        for k in range(1, int(sc.duration // SAMPLE_PERIOD) + 1):
-            self._push(k * SAMPLE_PERIOD, _SAMPLE)
+                self._schedule(_TRAFFIC, 0, (flow_idx, sender))
+        self._schedule(_SAMPLE, 1)
+
+    def _schedule(self, kind: int, k: int, b=None, key=None) -> None:
+        """Push event `k` of a periodic series, if it falls in the run.  Every
+        time is indexed by `k` (`k * period`, `start + k / rate`): a running
+        sum would drift."""
+        sc = self.sc
+        if kind == _TRAFFIC:
+            flow = sc.traffic.flows[b[0]]
+            time = flow.start + k / flow.rate
+            if time >= flow.stop:
+                return
+        elif kind == _SAMPLE:
+            if k > sc.duration // SAMPLE_PERIOD:
+                return
+            time = k * SAMPLE_PERIOD
+        else:
+            period = (sc.timing.rediscovery_period if kind == _DISCOVER
+                      else sc.timing.distance_refresh_period)
+            if not period or k * period >= sc.duration:
+                return
+            time = k * period
+        self._push(time, kind, k, b, key)
 
     # -- trace / metrics helpers ------------------------------------------
 
@@ -377,7 +391,7 @@ class Run:
         heap = self._heap
         duration = self.sc.duration
         while heap:
-            time, _seq, kind, a, b = heapq.heappop(heap)
+            time, key, kind, a, b = heapq.heappop(heap)
             if time > duration:
                 break
             if time < self.now - 1e-12:
@@ -392,14 +406,16 @@ class Run:
                 self._transmit(a, b)
             elif kind == _ACK_DUE:
                 self._apply_actions(a, self.nodes[a].make_ack())
-            elif kind == _TRAFFIC:
-                self._do_traffic(a, b)
-            elif kind == _SAMPLE:
-                self._do_sample()
-            elif kind == _DISCOVER:
-                self._do_discover(a)
-            elif kind == _REFRESH:
-                self._do_refresh()
+            else:  # event a of a periodic series; then queue event a + 1
+                if kind == _TRAFFIC:
+                    self._do_traffic(*b)
+                elif kind == _SAMPLE:
+                    self._do_sample()
+                elif kind == _DISCOVER:
+                    self._do_discover(a)
+                else:
+                    self._do_refresh()
+                self._schedule(kind, a + 1, b, key)
         if self.sc.protocol == "gcn":
             self._close_epoch()
             if self.members:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import GroupId, NodeId
+from .model import GroupId, NodeId, TimingParams
 from .packets import Packet
 
 
@@ -93,9 +93,9 @@ class GcnNode:
 
     def __init__(self, node_id: NodeId, is_member: bool, group: GroupId,
                  source_ttl: int, desired_relays: int, rng: random.Random,
-                 ack_delay_max: float = 0.100,
-                 neighbor_count_window: float = 0.050,
-                 forward_jitter_max: float = 0.001,
+                 ack_delay_max: float = TimingParams.ack_delay_max,
+                 neighbor_count_window: float = TimingParams.neighbor_count_window,
+                 forward_jitter_max: float = TimingParams.forward_jitter_max,
                  members_forward_data: bool = True):
         self.node_id = node_id
         self.is_member = is_member

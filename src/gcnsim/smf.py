@@ -8,7 +8,7 @@ import random
 import warnings
 
 from .geometry import bfs_hops, unit_disk_adjacency
-from .model import NodeId
+from .model import NodeId, TimingParams
 from .packets import Packet
 from .protocol import Deliver, Transmit
 
@@ -19,7 +19,7 @@ class SmfNode:
     deliver on first reception."""
 
     def __init__(self, node_id: NodeId, is_member: bool, rng: random.Random,
-                 forward_jitter_max: float = 0.001):
+                 forward_jitter_max: float = TimingParams.forward_jitter_max):
         self.node_id = node_id
         self.is_member = is_member
         self.rng = rng

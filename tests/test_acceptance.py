@@ -82,8 +82,7 @@ def test_criterion_2_predictor_fit():
         for ttl in (1, 2, 3, 4):
             sc = replace(base, group_prob=pg, source_ttl=ttl)
             oracle = mc_discovery_oracle(sc, trials)
-            pred = predict_discovery_fraction(pg, density, base.tx_radius, ttl,
-                                              radius_term="sqrt")
+            pred = predict_discovery_fraction(pg, density, base.tx_radius, ttl)
             gap = abs(oracle - pred)
             checks.append((f"P_g={pg} T={ttl}", gap <= 0.07,
                            f"oracle {oracle:.3f} pred {pred:.3f} gap {gap:.3f}"))

@@ -19,34 +19,21 @@ DENSITY = 100.0 / (math.pi * 100.0 ** 2)  # 100 users on a 100 m disk
 def test_predictor_frozen_reference_value():
     # independently derived: lambda = 1/(100 pi), correction 1/(2 sqrt(lambda))
     # = 8.8623, r_eff = 31.1377, magnitude = 0.05 * lambda * pi * (3 r_eff)^2
-    got = predict_discovery_fraction(0.05, DENSITY, 40.0, 3, radius_term="sqrt")
+    got = predict_discovery_fraction(0.05, DENSITY, 40.0, 3)
     assert got == pytest.approx(0.9872600460303115, abs=1e-12)
 
 
 def test_predictor_zero_ttl_limit():
-    assert predict_discovery_fraction(0.05, DENSITY, 40.0, 0,
-                                      radius_term="sqrt") == 0.0
+    assert predict_discovery_fraction(0.05, DENSITY, 40.0, 0) == 0.0
 
 
 def test_predictor_monotone_in_ttl_and_group_prob():
-    vals = [predict_discovery_fraction(0.1, DENSITY, 40.0, t, radius_term="sqrt")
+    vals = [predict_discovery_fraction(0.1, DENSITY, 40.0, t)
             for t in range(1, 6)]
     assert vals == sorted(vals)
     assert all(0.0 <= v <= 1.0 for v in vals)
-    assert (predict_discovery_fraction(0.25, DENSITY, 40.0, 2, radius_term="sqrt")
-            > predict_discovery_fraction(0.05, DENSITY, 40.0, 2, radius_term="sqrt"))
-
-
-def test_predictor_printed_correction_floors_radius():
-    # at desk densities 1/(2 * density) exceeds the 40 m radius, so the
-    # printed correction collapses the estimate to zero — documented behavior
-    assert predict_discovery_fraction(0.05, DENSITY, 40.0, 3,
-                                      radius_term="printed") == 0.0
-
-
-def test_predictor_rejects_unknown_modes():
-    with pytest.raises(ValueError):
-        predict_discovery_fraction(0.1, DENSITY, 40.0, 2, radius_term="bogus")
+    assert (predict_discovery_fraction(0.25, DENSITY, 40.0, 2)
+            > predict_discovery_fraction(0.05, DENSITY, 40.0, 2))
 
 
 # --- discovery oracle on crafted graphs -----------------------------------

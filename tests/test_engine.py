@@ -1,6 +1,7 @@
 """Event engine: determinism, byte accounting, scheduling, and reporting."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
                           MobilitySpec, Scenario, TimingParams, TrafficFlow,
                           TrafficSpec, make_rng)
 from gcnsim.packets import Packet
+from gcnsim.presets import PRESETS
 from gcnsim.protocol import ProtocolError
 from test_golden import CASES
 
@@ -253,9 +255,9 @@ class CountingRun(Run):
         self.heard = 0
         self._last = None
 
-    def _push(self, time, kind, a=None, b=None):
+    def _push(self, time, kind, a=None, b=None, key=None):
         self.pushes[kind] += 1
-        super()._push(time, kind, a, b)
+        super()._push(time, kind, a, b, key)
 
     def _receive(self, node_id, pkt, sender):
         if self._last is None or self._last[0] is not pkt or self._last[1] != sender:
@@ -321,6 +323,83 @@ def test_rx_pushes_are_rare_with_the_default_jitter():
     assert transmissions > 100
     assert run.pushes[engine_mod._RX] <= 0.05 * transmissions
     assert run._seq == sum(run.pushes.values())
+
+
+# --- periodic series -------------------------------------------------------
+
+class PreScheduledRun(Run):
+    """The reference: every periodic event is pushed at set-up, each under a
+    sequence number of its own, and no event pushes a successor."""
+
+    def _schedule_all(self):
+        sc = self.sc
+        if sc.protocol == "gcn":
+            self._push(0.0, engine_mod._DISCOVER, 0)
+            period, epoch = sc.timing.rediscovery_period, 1
+            while period and epoch * period < sc.duration:
+                self._push(epoch * period, engine_mod._DISCOVER, epoch)
+                epoch += 1
+            refresh, k = sc.timing.distance_refresh_period, 1
+            while refresh and k * refresh < sc.duration:
+                self._push(k * refresh, engine_mod._REFRESH, k)
+                k += 1
+        for flow_idx, flow in enumerate(sc.traffic.flows):
+            senders = ([self.source] if flow.senders == "source"
+                       else sorted(self.members))
+            if flow.dests == "source":
+                senders = [s for s in senders if s != self.source]
+            for sender in senders:
+                k = 0
+                while True:
+                    t = flow.start + k / flow.rate
+                    if t >= flow.stop:
+                        break
+                    self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender))
+                    k += 1
+        for k in range(1, int(sc.duration // engine_mod.SAMPLE_PERIOD) + 1):
+            self._push(k * engine_mod.SAMPLE_PERIOD, engine_mod._SAMPLE, k)
+
+    def _schedule(self, kind, k, b=None, key=None):
+        pass  # every periodic event is on the heap already
+
+
+def _tie_case(timing, flow):
+    """`full_matrix` cut to 30 s with one flow: an earlier series with a
+    shorter period than a later one ties with it at some instants after
+    both have run, which only the series' set-up key orders as the
+    reference does."""
+    sc = PRESETS["full_matrix"].scenario
+    return replace(sc, duration=30.0, timing=timing,
+                   traffic=flows(replace(flow, start=1.0, stop=29.0)))
+
+
+_REFRESH_BEFORE_TRAFFIC = _tie_case(  # refresh at 1, 2, ...; data at 1, 3, ...
+    TimingParams(distance_refresh_period=1.0),
+    TrafficFlow(pattern="one_to_all", senders="source", dests="all", rate=0.5))
+_DISCOVERY_BEFORE_REFRESH = _tie_case(  # discovery at 2, 4, ...; refresh at 4, 8, ...
+    TimingParams(rediscovery_period=2.0, distance_refresh_period=4.0),
+    TrafficFlow(pattern="targeted", senders="all_members", dests="source", rate=1.0))
+
+
+@pytest.mark.parametrize("sc, seed", [
+    CASES["resiliency_no_jitter/gcn/0"],
+    CASES["resiliency_no_jitter/smf/1"],
+    CASES["targeted_collection/gcn/0"],
+    CASES["targeted_mobile/gcn/1"],
+    CASES["mobile_connectivity/smf/0"],
+    (_REFRESH_BEFORE_TRAFFIC, 0), (_REFRESH_BEFORE_TRAFFIC, 1),
+    (_DISCOVERY_BEFORE_REFRESH, 0), (_DISCOVERY_BEFORE_REFRESH, 1)],
+    ids=["no_jitter_gcn", "no_jitter_smf", "targeted_gcn", "mobile_targeted_gcn",
+         "mobile_smf", "refresh_ties_data/0", "refresh_ties_data/1",
+         "discovery_ties_refresh/0", "discovery_ties_refresh/1"])
+def test_each_series_pushing_its_successor_matches_pushing_all_at_set_up(sc, seed):
+    lazy, eager = Run(sc, seed), PreScheduledRun(sc, seed)
+    trace, report = lazy.run()
+    ref_trace, ref_report = eager.run()
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+    assert lazy._seq == eager._seq  # the count of heap pushes
+    assert lazy.channel_rng.getstate() == eager.channel_rng.getstate()
 
 
 # --- channel neighbour table ----------------------------------------------

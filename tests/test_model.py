@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnsim.model import (MAX_TRAFFIC_EVENTS, STREAM_CHANNEL, STREAM_PLACEMENT,
+from gcnsim.engine import Run
+from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT,
                           ChannelSpec,
                           ConfigurationError, MobilitySpec, Position, Scenario,
                           TimingParams, TrafficFlow, TrafficSpec, make_rng,
@@ -137,6 +139,8 @@ def test_placement_zero_prob_raises():
 
 def test_default_scenario_is_valid():
     assert validate_scenario(Scenario()) == []
+    for preset in PRESETS.values():
+        assert validate_scenario(preset.scenario) == []
 
 
 @pytest.mark.parametrize("patch,fragment", [
@@ -218,27 +222,26 @@ def test_validate_traffic_flow_bounds():
     assert any("flows[0]" in p for p in validate_scenario(sc))
 
 
-def _schedule_problems(**flow) -> list:
-    sc = Scenario(num_users=100, duration=100.0,
-                  traffic=TrafficSpec(flows=[TrafficFlow(start=0.0, stop=100.0, **flow)]))
-    return [p for p in validate_scenario(sc) if p.startswith("traffic.flows:")]
-
-
-def test_validate_bounds_the_traffic_schedule():
-    # validation alone: a run would push every one of these events at set-up
-    assert _schedule_problems(rate=1e9) == [
-        f"traffic.flows: 100000000000 traffic events, more than the "
-        f"{MAX_TRAFFIC_EVENTS} a run may schedule"]
-    # 100 s x rate per sender; "all_members" counts every user as a sender
-    for senders, count in (("source", 1), ("all_members", 100)):
-        rate = MAX_TRAFFIC_EVENTS / (100 * count)
-        assert _schedule_problems(senders=senders, rate=rate) == []
-        assert _schedule_problems(senders=senders, rate=rate + 1) != []
-    # a rate already reported is not counted, so it cannot raise here
-    for rate in (INF, NAN, 0.0, -1.0):
-        assert _schedule_problems(rate=rate) == []
-    for preset in PRESETS.values():
-        assert validate_scenario(preset.scenario) == []
+def test_schedule_holds_one_entry_per_periodic_series():
+    # each series pushes its next event when one runs, so set-up pushes one
+    # entry per series however many events the run will have
+    sc = Scenario(num_users=40, duration=10.0, timing=TimingParams(
+        rediscovery_period=0.01, distance_refresh_period=0.01),
+        traffic=TrafficSpec(flows=[
+            TrafficFlow(senders="source", rate=100.0, start=0.0, stop=10.0),
+            TrafficFlow(pattern="targeted", senders="all_members", dests="source",
+                        rate=100.0, start=0.0, stop=10.0)]))
+    run = Run(sc, 0)
+    run._schedule_all()
+    # discovery, refresh, the source's flow, every other member's, the sample
+    assert len(run.members) > 1
+    assert len(run._heap) == run._seq == 3 + len(run.members)
+    # so nothing bounds a flow's rate beyond it being finite and positive
+    fast = replace(sc, traffic=TrafficSpec(flows=[TrafficFlow(
+        senders="all_members", rate=1e9, start=0.0, stop=10.0)]))
+    run = Run(fast, 0)
+    run._schedule_all()
+    assert len(run._heap) == 3 + len(run.members)
 
 
 # --- serialization --------------------------------------------------------
