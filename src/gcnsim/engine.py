@@ -87,12 +87,11 @@ class Run:
                                   else scenario.region_radius)
         if self._mobile:
             self._tick = 0  # the mobility tick the positions stand at
-            self._movers = []  # (node id, motion state, motion rng), by id
-            for nid in self.node_ids:
-                rng = make_rng(seed, STREAM_MOBILITY, nid)
-                self._movers.append((nid, init_motion(
-                    scenario.mobility, self.positions[nid], 0.0, rng,
-                    self._placement_radius), rng))
+            self._fleet = [  # one motion record per node, by id
+                init_motion(scenario.mobility, nid, self.positions[nid], 0.0,
+                            make_rng(seed, STREAM_MOBILITY, nid),
+                            self._placement_radius)
+                for nid in self.node_ids]
         # Geometry state of the current positions: the unit-disk graph, and
         # node id -> [(neighbour id, per)] in id order over every neighbour
         # the channel can reach, priced from the graph.  A static run builds
@@ -346,19 +345,16 @@ class Run:
 
     def _sync_positions(self) -> None:
         """Move every node to the last mobility tick at or before `now`, with
-        one `advance` call per node over all the ticks since the last sync."""
+        one `advance` call that steps the whole fleet over all the ticks
+        since the last sync."""
         due = int(self.now * TICKS_PER_S) + 1
         while due / TICKS_PER_S > self.now:
             due -= 1
         if due == self._tick:
             return
-        mob, positions = self.sc.mobility, self.positions
-        start, span = self._tick / TICKS_PER_S, (due - self._tick) / TICKS_PER_S
-        for nid, state, rng in self._movers:
-            if span <= state.pause_until - start:
-                continue  # pausing through the whole span: advance would only wait
-            positions[nid] = advance(mob, state, start, span, rng,
-                                     self._placement_radius).position
+        advance(self.sc.mobility, self._fleet, self._tick / TICKS_PER_S,
+                (due - self._tick) / TICKS_PER_S, self._placement_radius,
+                self.positions)
         self._tick = due
         # everything derived from the old positions is stale
         self._neighbor_cache.clear()

@@ -470,22 +470,21 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
     sc = _rwp_scenario(6.0)
     run = Run(sc, 1)
     # the same motion stepped tick by tick on the grid k / TICKS_PER_S
-    reference = [(nid, init_motion(sc.mobility, run.positions[nid], 0.0, rng,
-                                   sc.region_radius), rng)
-                 for nid in run.node_ids
-                 for rng in [make_rng(1, STREAM_MOBILITY, nid)]]
+    reference = [init_motion(sc.mobility, nid, run.positions[nid], 0.0,
+                             make_rng(1, STREAM_MOBILITY, nid), sc.region_radius)
+                 for nid in run.node_ids]
+    reference_at = dict(run.positions)
     stepped = [0]
     seen = []
 
     def checking_sample(positions, tx_radius, active, source, members):
         assert run._tick == round(run.now * engine_mod.TICKS_PER_S)
         while stepped[0] < run._tick:
-            for _, state, rng in reference:
-                advance(sc.mobility, state, stepped[0] / engine_mod.TICKS_PER_S,
-                        1 / engine_mod.TICKS_PER_S, rng, sc.region_radius)
+            advance(sc.mobility, reference, stepped[0] / engine_mod.TICKS_PER_S,
+                    1 / engine_mod.TICKS_PER_S, sc.region_radius, reference_at)
             stepped[0] += 1
-        for nid, state, _ in reference:
-            assert positions[nid].distance_to(state.position) <= 1e-9
+        for nid in run.node_ids:
+            assert positions[nid].distance_to(reference_at[nid]) <= 1e-9
         seen.append(run._tick)
         return connectivity_sample(positions, tx_radius, active, source, members)
 
