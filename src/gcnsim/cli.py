@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .analytics import aggregate
 from .engine import run_scenario
 from .model import (ConfigurationError, Scenario, load_scenario,
-                    scenario_to_dict, validate_scenario)
+                    save_scenario, validate_scenario)
 from .presets import PRESETS, get_preset
 
 
@@ -266,10 +266,7 @@ def cmd_presets(args) -> int:
         print(f"{name}: {preset.description}")
         if args.write:
             os.makedirs(args.write, exist_ok=True)
-            path = os.path.join(args.write, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(scenario_to_dict(preset.scenario), fh, indent=2)
-                fh.write("\n")
+            save_scenario(preset.scenario, os.path.join(args.write, f"{name}.json"))
     return 0
 
 

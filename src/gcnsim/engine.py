@@ -24,6 +24,7 @@ from .geometry import bfs_hops, unit_disk_adjacency
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, validate_scenario)
+from .packets import DATA_BASE_HEADER_BYTES
 from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                        ProtocolError, SendAck, Transmit)
 from .smf import SmfNode, min_ttl_oracle
@@ -66,7 +67,7 @@ class Run:
         tm = scenario.timing
         if scenario.protocol == "gcn":
             self.nodes = {
-                nid: GcnNode(nid, nid in self.members, 0, scenario.source_ttl,
+                nid: GcnNode(nid, nid in self.members, scenario.source_ttl,
                              scenario.desired_relays,
                              make_rng(seed, STREAM_PROTOCOL, nid),
                              ack_delay_max=tm.ack_delay_max,
@@ -334,13 +335,12 @@ class Run:
         self._apply_actions(self.source, actions)
 
     def _close_epoch(self) -> None:
-        count = sum(1 for n in self.nodes.values()
-                    if getattr(n, "is_relay", False))
-        self.report.relays_per_epoch[self._epoch] = count
+        self.report.relays_per_epoch[self._epoch] = sum(
+            n.is_relay for n in self.nodes.values())
 
     def _do_refresh(self) -> None:
-        payload = max(0, self.sc.timing.refresh_bytes - 4)
-        actions = self.nodes[self.source].send_one_to_all(payload)
+        actions = self.nodes[self.source].send_one_to_all(
+            self.sc.timing.refresh_bytes - DATA_BASE_HEADER_BYTES)
         self._apply_actions(self.source, actions)
 
     def _sync_positions(self) -> None:

@@ -1,4 +1,4 @@
-"""Node motion: static placement and random waypoint inside a disk."""
+"""Random-waypoint motion inside a disk; a static run builds no fleet."""
 
 from __future__ import annotations
 
@@ -10,12 +10,9 @@ from .model import MobilitySpec, Position, uniform_disk_point
 def init_motion(spec: MobilitySpec, nid: int, position: Position, now: float,
                 rng: random.Random, region_radius: float) -> list:
     """One node's motion record, `[node id, x, y, waypoint x, waypoint y,
-    speed, pause until, rng]`, which `advance` mutates in place.  A
-    random-waypoint node draws its first pause end, waypoint and speed at
-    `now`, in that order; a static node's waypoint is its position."""
+    speed, pause until, rng]`, which `advance` mutates in place.  The node
+    draws its first pause end, waypoint and speed at `now`, in that order."""
     x, y = position
-    if spec.kind != "random_waypoint":
-        return [nid, x, y, x, y, 0.0, 0.0, rng]
     pause_until = now + rng.uniform(spec.pause_min, spec.pause_max)
     wx, wy = uniform_disk_point(rng, region_radius)
     return [nid, x, y, wx, wy, rng.uniform(spec.speed_min, spec.speed_max),
@@ -27,10 +24,8 @@ def advance(spec: MobilitySpec, fleet: list, start: float, span: float,
     """Move every record in `fleet` over `[start, start + span]` of
     piecewise-linear motion toward its waypoint, in one call, and write the
     new `Position` of each node not pausing through the whole span into
-    `positions`.  Static nodes never move.  A random-waypoint node pauses on
-    arrival, then draws a fresh uniform-disk waypoint and a fresh speed."""
-    if spec.kind != "random_waypoint":
-        return
+    `positions`.  A node pauses on arrival, then draws a fresh uniform-disk
+    waypoint and a fresh speed."""
     pause_min, pause_max = spec.pause_min, spec.pause_max
     speed_min, speed_max = spec.speed_min, spec.speed_max
     new = tuple.__new__  # a cheaper Position(x, y): skips NamedTuple's __new__

@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional
 
+from .packets import DATA_BASE_HEADER_BYTES
+
 NodeId = int
-GroupId = int
 
 # Rng stream domains.  Every consumer of randomness owns exactly one stream,
 # derived from (seed, domain, subject), so runs are reproducible and the
@@ -44,12 +45,11 @@ class Position(NamedTuple):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def uniform_disk_point(rng: random.Random, radius: float,
-                       center: Position = Position(0.0, 0.0)) -> Position:
-    """Draw a point uniformly from the disk of the given radius."""
+def uniform_disk_point(rng: random.Random, radius: float) -> Position:
+    """Draw a point uniformly from the disk of the given radius about the origin."""
     r = radius * math.sqrt(rng.random())
     theta = rng.random() * 2.0 * math.pi
-    return Position(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
+    return Position(r * math.cos(theta), r * math.sin(theta))
 
 
 @dataclass
@@ -60,13 +60,14 @@ class TimingParams:
     forward_jitter_max: float = 0.001
     rediscovery_period: Optional[float] = None
     distance_refresh_period: Optional[float] = None
-    refresh_bytes: int = 20
+    refresh_bytes: int = 20           # on the air, data header included
 
 
 @dataclass
 class ChannelSpec:
     """Loss inside the scenario's transmit radius; beyond it nothing is heard."""
-    # flat_per and curve_points are mutually exclusive; flat_per wins if both set.
+    # flat_per and curve_points are mutually exclusive: a curve needs
+    # flat_per None, and validation rejects a spec that sets both
     flat_per: Optional[float] = 0.0
     curve_points: Optional[list] = None  # [(distance_m, per), ...] increasing
     base_loss: float = 0.0
@@ -85,7 +86,8 @@ class MobilitySpec:
 class TrafficFlow:
     pattern: str = "one_to_all"       # "one_to_all" | "targeted"
     senders: str = "source"           # "source" | "all_members"
-    dests: str = "all"                # "all" | "source" | explicit list of ids
+    # one_to_all: "all"; targeted: "all" | "source" | non-empty list of ids
+    dests: str = "all"
     rate: float = 1.0                 # packets per second per sender
     payload_bytes: int = 1400
     start: float = 1.0
@@ -168,6 +170,8 @@ def validate_scenario(sc: Scenario) -> list:
     ch = sc.channel
     if ch.flat_per is not None and not (0.0 <= ch.flat_per <= 1.0):
         out.append("channel.flat_per: must be in [0, 1]")
+    if ch.flat_per is not None and ch.curve_points is not None:
+        out.append("channel.flat_per: must be null when curve_points is set")
     if not (0.0 <= ch.base_loss <= 1.0):
         out.append("channel.base_loss: must be in [0, 1]")
     if ch.curve_points is not None:
@@ -194,22 +198,26 @@ def validate_scenario(sc: Scenario) -> list:
         val = getattr(tm, name)
         if val is not None and val <= 0:
             out.append(f"timing.{name}: must be positive when set")
-    if tm.refresh_bytes < 0:
-        out.append("timing.refresh_bytes: must be non-negative")
+    if tm.refresh_bytes < DATA_BASE_HEADER_BYTES:
+        out.append(f"timing.refresh_bytes: must be >= {DATA_BASE_HEADER_BYTES}, "
+                   "the data header")
     for i, flow in enumerate(sc.traffic.flows):
         if flow.pattern not in ("one_to_all", "targeted"):
             out.append(f"traffic.flows[{i}].pattern: must be 'one_to_all' or 'targeted'")
         if flow.senders not in ("source", "all_members"):
             out.append(f"traffic.flows[{i}].senders: must be 'source' or 'all_members'")
-        if isinstance(flow.dests, str):
+        if flow.pattern == "one_to_all":
+            if flow.dests != "all":
+                out.append(f"traffic.flows[{i}].dests: must be 'all' for one_to_all")
+        elif isinstance(flow.dests, str):
             if flow.dests not in ("all", "source"):
                 out.append(f"traffic.flows[{i}].dests: must be 'all', 'source' "
                            "or a list of node ids")
-        elif not (isinstance(flow.dests, (list, tuple))
+        elif not (isinstance(flow.dests, (list, tuple)) and flow.dests
                   and all(isinstance(d, int) and 0 <= d < sc.num_users
                           for d in flow.dests)):
-            out.append(f"traffic.flows[{i}].dests: node ids must be in "
-                       "[0, num_users)")
+            out.append(f"traffic.flows[{i}].dests: need a non-empty list of "
+                       "node ids in [0, num_users)")
         if flow.rate <= 0:
             out.append(f"traffic.flows[{i}].rate: must be positive")
         if flow.payload_bytes < 0:
@@ -308,16 +316,13 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _to_plain(obj):
-    if is_dataclass(obj):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    return obj
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return _to_plain(sc)
+def scenario_to_dict(sc):
+    """The plain-dict (JSON) form of a scenario, or of any part of one."""
+    if is_dataclass(sc):
+        return {f.name: scenario_to_dict(getattr(sc, f.name)) for f in fields(sc)}
+    if isinstance(sc, (list, tuple)):
+        return [scenario_to_dict(v) for v in sc]
+    return sc
 
 
 def save_scenario(sc: Scenario, path: str) -> None:

@@ -9,29 +9,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import GroupId, NodeId
-
 DISCOVERY_BYTES = 14
 ACK_BYTES = 20
 DATA_BASE_HEADER_BYTES = 4
 DEST_PAIR_BYTES = 3
 SMF_TTL_HEADER_BYTES = 2
 
-MsgId = tuple  # (origin NodeId, per-origin sequence number)
+MsgId = tuple  # (origin node id, per-origin sequence number)
 
 
 @dataclass
 class Packet:
     kind: str                 # "discovery" | "ack" | "data"
-    group: GroupId
-    origin: NodeId
+    origin: int               # node id
     hop_counter: int          # hops this copy has traveled so far
     msg_id: MsgId             # stable across retransmissions
     epoch: int = 0
     # discovery
     ttl: int = 0              # remaining hops after this transmission
     # ack
-    obligate: Optional[NodeId] = None
+    obligate: Optional[int] = None  # node id of the first-heard discovery sender
     acp: float = 0.0
     # data
     destinations: list = field(default_factory=list)  # [(dest, mrd)]; [] = one-to-all

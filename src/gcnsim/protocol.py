@@ -27,10 +27,10 @@ copy and an unelected hearer's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .model import GroupId, NodeId, TimingParams
+from .model import NodeId, TimingParams
 from .packets import Packet
 
 
@@ -65,41 +65,28 @@ class Deliver:
     msg_id: tuple
 
 
-@dataclass
-class AckFields:
-    obligate: NodeId
-    acp: float
-
-
-def compute_ack_fields(upstream: Optional[NodeId], neighbor_count: int,
-                       desired_relays: int) -> AckFields:
-    """Obligate = first-heard discovery sender; ACP = (R-1)/(N-1), clamped.
+def ack_probability(neighbor_count: int, desired_relays: int) -> float:
+    """The ACP an ACK carries: (R-1)/(N-1), clamped at 1.
 
     With R = 1 or a single counted neighbor, probabilistic self-selection is
-    off (ACP 0) and only the obligate is activated.
+    off (ACP 0) and only the obligate relay the ACK names is activated.
     """
-    if upstream is None:
-        raise ProtocolError("ACK without a heard discovery (no upstream)")
     if desired_relays <= 1 or neighbor_count <= 1:
-        acp = 0.0
-    else:
-        acp = (desired_relays - 1) / (neighbor_count - 1)
-        acp = min(1.0, max(0.0, acp))
-    return AckFields(obligate=upstream, acp=acp)
+        return 0.0
+    return min(1.0, (desired_relays - 1) / (neighbor_count - 1))
 
 
 class GcnNode:
-    """Protocol state for one node in one group."""
+    """Protocol state for one node; a run simulates one group."""
 
-    def __init__(self, node_id: NodeId, is_member: bool, group: GroupId,
-                 source_ttl: int, desired_relays: int, rng: random.Random,
+    def __init__(self, node_id: NodeId, is_member: bool, source_ttl: int,
+                 desired_relays: int, rng: random.Random,
                  ack_delay_max: float = TimingParams.ack_delay_max,
                  neighbor_count_window: float = TimingParams.neighbor_count_window,
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
                  members_forward_data: bool = True):
         self.node_id = node_id
         self.is_member = is_member
-        self.group = group
         self.source_ttl = source_ttl
         self.desired_relays = desired_relays
         self.rng = rng
@@ -114,19 +101,17 @@ class GcnNode:
         self.disc_sent: dict = {}         # discovery msg_id -> best ttl transmitted
         self.delivered: set = set()       # msg_ids already delivered locally
         self.distance: dict = {}          # origin -> (seq, hops)
+        # relays persist across rediscovery rounds: there is no teardown
+        # message, a new round only ever activates additional relays
+        self.is_relay = False
 
         # per-epoch state
-        self.epoch = -1
         self._reset_epoch(0)
 
     # -- epoch bookkeeping -------------------------------------------------
 
     def _reset_epoch(self, epoch: int) -> None:
         self.epoch = epoch
-        if epoch <= 0:
-            # relays persist across rediscovery rounds: there is no teardown
-            # message, a new round only ever activates additional relays
-            self.is_relay = False
         self.upstream: Optional[NodeId] = None
         self.neighbor_senders: set = set()
         self.first_discovery_time: Optional[float] = None
@@ -134,10 +119,6 @@ class GcnNode:
         self.self_select_attempted = False
         self.acked = False
         self.transmitted_discovery = False
-
-    def _maybe_enter_epoch(self, epoch: int) -> None:
-        if epoch > self.epoch:
-            self._reset_epoch(epoch)
 
     def _next_msg_id(self) -> tuple:
         self.seq += 1
@@ -179,18 +160,19 @@ class GcnNode:
             raise ProtocolError("only group members initiate discovery")
         if self.source_ttl < 1:
             raise ProtocolError("source_ttl must be >= 1")
-        self._maybe_enter_epoch(epoch)
+        if epoch > self.epoch:
+            self._reset_epoch(epoch)
         if epoch == self.epoch and self.transmitted_discovery:
             return []  # one initiation per epoch
-        pkt = Packet(kind="discovery", group=self.group, origin=self.node_id,
-                     hop_counter=0, msg_id=self._next_msg_id(), epoch=epoch,
-                     ttl=self.source_ttl)
+        pkt = Packet(kind="discovery", origin=self.node_id, hop_counter=0,
+                     msg_id=self._next_msg_id(), epoch=epoch, ttl=self.source_ttl)
         self.disc_sent[pkt.msg_id] = self.source_ttl
         self.transmitted_discovery = True
         return [Transmit(pkt, self._jitter())]
 
     def on_discovery(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        self._maybe_enter_epoch(pkt.epoch)
+        if pkt.epoch > self.epoch:
+            self._reset_epoch(pkt.epoch)
         self.update_distance(pkt)
         if self.first_discovery_time is None:
             self.first_discovery_time = now
@@ -206,42 +188,40 @@ class GcnNode:
             # forward with the decremented budget; a copy arriving later with
             # a larger budget than anything sent so far is forwarded again,
             # so the reachable set does not depend on arrival order
-            out = Packet(kind="discovery", group=self.group, origin=pkt.origin,
-                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                         epoch=pkt.epoch, ttl=pkt.ttl - 1)
-            self.disc_sent[pkt.msg_id] = pkt.ttl - 1
-            self.transmitted_discovery = True
-            return [Transmit(out, self._jitter())]
+            return [self._relay_discovery(pkt, pkt.ttl - 1)]
         if best_sent >= 0 and self.acked:
             return []  # duplicate: regenerated and acknowledged already
-        actions = []
-        if best_sent < 0:
-            # regenerate at the full source TTL (once; it cannot improve)
-            out = Packet(kind="discovery", group=self.group,
-                         origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
-                         msg_id=pkt.msg_id, epoch=pkt.epoch,
-                         ttl=self.source_ttl)
-            self.disc_sent[pkt.msg_id] = self.source_ttl
-            actions.append(Transmit(out, self._jitter()))
-            self.transmitted_discovery = True
+        # regenerate at the full source TTL (once; it cannot improve)
+        actions = [self._relay_discovery(pkt, self.source_ttl)] if best_sent < 0 else []
         if not self.acked:
             self.acked = True
             actions.append(SendAck(self._ack_delay()))
         return actions
 
+    def _relay_discovery(self, pkt: Packet, ttl: int) -> Transmit:
+        """Retransmit a heard discovery one hop further with budget `ttl`."""
+        out = Packet(kind="discovery", origin=pkt.origin,
+                     hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+                     epoch=pkt.epoch, ttl=ttl)
+        self.disc_sent[pkt.msg_id] = ttl
+        self.transmitted_discovery = True
+        return Transmit(out, self._jitter())
+
     # -- relay election ----------------------------------------------------
 
     def make_ack(self) -> list:
-        """Build this node's ACK once its delay fires (freezes the N count)."""
+        """Build this node's ACK once its delay fires (freezes the N count).
+
+        It names the first-heard discovery sender as the obligate relay."""
         if self.upstream is None:
             return []  # initiator that never heard an echo: nothing to ack
         if self.neighbor_count_frozen is None:
             self.neighbor_count_frozen = len(self.neighbor_senders)
-        fields = compute_ack_fields(self.upstream, self.neighbor_count_frozen,
-                                    self.desired_relays)
-        pkt = Packet(kind="ack", group=self.group, origin=self.node_id,
-                     hop_counter=0, msg_id=self._next_msg_id(), epoch=self.epoch,
-                     obligate=fields.obligate, acp=fields.acp)
+        pkt = Packet(kind="ack", origin=self.node_id, hop_counter=0,
+                     msg_id=self._next_msg_id(), epoch=self.epoch,
+                     obligate=self.upstream,
+                     acp=ack_probability(self.neighbor_count_frozen,
+                                         self.desired_relays))
         return [Transmit(pkt, 0.0)]
 
     def on_ack(self, pkt: Packet, sender: NodeId, now: float) -> list:
@@ -272,12 +252,7 @@ class GcnNode:
     # -- data --------------------------------------------------------------
 
     def send_one_to_all(self, payload_bytes: int) -> list:
-        pkt = Packet(kind="data", group=self.group, origin=self.node_id,
-                     hop_counter=0, msg_id=self._next_msg_id(), epoch=self.epoch,
-                     destinations=[], payload_bytes=payload_bytes)
-        self.dup_cache.add(pkt.msg_id)
-        self.delivered.add(pkt.msg_id)
-        return [Transmit(pkt, self._jitter())]
+        return self._originate([], payload_bytes)
 
     def send_targeted(self, dests: list, mrd_offset: int, payload_bytes: int) -> list:
         """Originate a data packet confined toward specific destinations.
@@ -292,8 +267,12 @@ class GcnNode:
             if d is None:
                 raise NoRouteError(f"node {self.node_id}: no recorded distance to {dest}")
             pairs.append((dest, max(0, d + mrd_offset)))
-        pkt = Packet(kind="data", group=self.group, origin=self.node_id,
-                     hop_counter=0, msg_id=self._next_msg_id(), epoch=self.epoch,
+        return self._originate(pairs, payload_bytes)
+
+    def _originate(self, pairs: list, payload_bytes: int) -> list:
+        """Send a new data message: `pairs` [(dest, mrd)], or [] for one-to-all."""
+        pkt = Packet(kind="data", origin=self.node_id, hop_counter=0,
+                     msg_id=self._next_msg_id(), epoch=self.epoch,
                      destinations=pairs, payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
         self.delivered.add(pkt.msg_id)
@@ -336,7 +315,7 @@ class GcnNode:
                 # corridor pruned: a later copy may still qualify, so the
                 # duplicate cache is left untouched
                 return actions
-        out = Packet(kind="data", group=self.group, origin=pkt.origin,
+        out = Packet(kind="data", origin=pkt.origin,
                      hop_counter=pkt.hop_counter + 1, msg_id=msg_id,
                      epoch=pkt.epoch, destinations=out_pairs,
                      payload_bytes=pkt.payload_bytes)

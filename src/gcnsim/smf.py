@@ -32,7 +32,7 @@ class SmfNode:
         return (self.node_id, self.seq)
 
     def send_flood(self, ttl: int, payload_bytes: int, destinations=()) -> list:
-        pkt = Packet(kind="data", group=0, origin=self.node_id, hop_counter=0,
+        pkt = Packet(kind="data", origin=self.node_id, hop_counter=0,
                      msg_id=self._next_msg_id(),
                      destinations=[(d, 0) for d in destinations],
                      payload_bytes=payload_bytes, smf_ttl=ttl)
@@ -48,7 +48,7 @@ class SmfNode:
         is_dest = any(d == self.node_id for d, _ in dests) if dests else self.is_member
         actions = [Deliver(pkt.msg_id)] if is_dest else []
         if pkt.smf_ttl > 0:  # else TTL spent
-            out = Packet(kind="data", group=pkt.group, origin=pkt.origin,
+            out = Packet(kind="data", origin=pkt.origin,
                          hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
                          destinations=dests,
                          payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)

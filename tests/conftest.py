@@ -54,7 +54,7 @@ def run_on(monkeypatch, positions: dict, members=None,
 
 def make_node(node_id=0, is_member=False, source_ttl=3, desired_relays=1,
               seed=0, **kwargs) -> GcnNode:
-    return GcnNode(node_id, is_member, 0, source_ttl, desired_relays,
+    return GcnNode(node_id, is_member, source_ttl, desired_relays,
                    random.Random(seed), **kwargs)
 
 

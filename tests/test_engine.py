@@ -498,7 +498,6 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
 @pytest.mark.parametrize("protocol", ["gcn", "smf"])
 def test_unknown_packet_kind_is_a_protocol_error(protocol):
     run = Run(small_scenario(protocol=protocol), 0)
-    beacon = Packet(kind="beacon", group=0, origin=1, hop_counter=0,
-                    msg_id=(1, 1))
+    beacon = Packet(kind="beacon", origin=1, hop_counter=0, msg_id=(1, 1))
     with pytest.raises(ProtocolError, match="beacon"):
         run._receive(0, beacon, 1)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcnsim.engine import TICKS_PER_S
+from conftest import one_to_all_flow, small_scenario
+from gcnsim.engine import TICKS_PER_S, Run
 from gcnsim.mobility import advance, init_motion
-from gcnsim.model import MobilitySpec, Position, uniform_disk_point
+from gcnsim.model import MobilitySpec, Position, TrafficSpec, uniform_disk_point
 
 
 RADIUS = 100.0
@@ -29,11 +30,12 @@ def _one(spec, start, rng, now=0.0):
 
 
 def test_static_nodes_never_move():
-    spec = MobilitySpec(kind="static")
-    fleet, positions = _one(spec, Position(3.0, 4.0), random.Random(0))
-    for k in range(50):
-        advance(spec, fleet, k * 0.1, 0.1, RADIUS, positions)
-    assert positions[0] == Position(3.0, 4.0)
+    # a static run builds no motion records: its placement holds to the end
+    run = Run(small_scenario(traffic=TrafficSpec(flows=[one_to_all_flow()])), 0)
+    placed = dict(run.positions)
+    run.run()
+    assert not hasattr(run, "_fleet")
+    assert run.positions == placed
 
 
 def test_zero_speed_degenerate_is_static():

@@ -163,6 +163,20 @@ def test_default_scenario_is_valid():
         payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
     (dict(timing=TimingParams(refresh_bytes=-1)), "timing.refresh_bytes"),
     (dict(tx_radius=float("nan")), "tx_radius"),
+    # a curve beside the default flat_per 0.0, which would win: a loss-free run
+    (dict(channel=ChannelSpec(curve_points=[(0.0, 0.5), (40.0, 0.9)])),
+     "channel.flat_per"),
+    # a targeted flow to nobody would send data and count no recipient
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", dests=[], stop=5.0)])), "flows[0].dests"),
+    # one_to_all goes to every member: other dests would be ignored, and
+    # "source" would silently drop the source from the senders
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="one_to_all", dests=[3], stop=5.0)])), "flows[0].dests"),
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="one_to_all", dests="source", stop=5.0)])), "flows[0].dests"),
+    # below the 4 B data header a refresh would still put 4 B on the air
+    (dict(timing=TimingParams(refresh_bytes=1)), "timing.refresh_bytes"),
 ])
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)

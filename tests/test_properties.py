@@ -16,6 +16,7 @@ from gcnsim.model import (STREAM_PLACEMENT, ChannelSpec, ConfigurationError,
                           MobilitySpec, Position, Scenario, TimingParams,
                           TrafficFlow, TrafficSpec, make_rng,
                           uniform_disk_point, validate_scenario)
+from gcnsim.packets import DATA_BASE_HEADER_BYTES
 from gcnsim.smf import bfs_hops, unit_disk_adjacency
 
 
@@ -81,7 +82,7 @@ def _flows(draw, num_users: int, duration: float) -> list:
             pattern = "targeted"
             dests = draw(st.one_of(
                 st.sampled_from(["all", "source"]),
-                st.lists(st.integers(0, num_users - 1), max_size=4)))
+                st.lists(st.integers(0, num_users - 1), min_size=1, max_size=4)))
         flows.append(TrafficFlow(
             pattern=pattern, dests=dests,
             senders=draw(st.sampled_from(["source", "all_members"])),
@@ -124,7 +125,7 @@ def _small_worlds(draw) -> Scenario:
         protocol=draw(st.sampled_from(["gcn", "smf"])),
         timing=TimingParams(rediscovery_period=draw(period),
                             distance_refresh_period=draw(period),
-                            refresh_bytes=draw(st.integers(0, 40))))
+                            refresh_bytes=draw(st.integers(DATA_BASE_HEADER_BYTES, 40))))
 
 
 @settings(max_examples=1000, deadline=None,

@@ -11,22 +11,22 @@ from conftest import make_node
 from gcnsim.packets import Packet
 from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                              ProtocolError, SendAck, Transmit,
-                             compute_ack_fields)
+                             ack_probability)
 from gcnsim.smf import SmfNode
 
 
 def disc(ttl, origin=99, seq=1, hops=0, epoch=0):
-    return Packet(kind="discovery", group=0, origin=origin, hop_counter=hops,
+    return Packet(kind="discovery", origin=origin, hop_counter=hops,
                   msg_id=(origin, seq), epoch=epoch, ttl=ttl)
 
 
 def ack(obligate, acp, origin=50, seq=1, epoch=0):
-    return Packet(kind="ack", group=0, origin=origin, hop_counter=0,
+    return Packet(kind="ack", origin=origin, hop_counter=0,
                   msg_id=(origin, seq), epoch=epoch, obligate=obligate, acp=acp)
 
 
 def data(origin=7, seq=1, dests=(), hops=0, payload=100):
-    return Packet(kind="data", group=0, origin=origin, hop_counter=hops,
+    return Packet(kind="data", origin=origin, hop_counter=hops,
                   msg_id=(origin, seq), destinations=list(dests),
                   payload_bytes=payload)
 
@@ -38,27 +38,27 @@ def transmits(actions):
 # --- ACP arithmetic -------------------------------------------------------
 
 def test_acp_examples():
-    assert compute_ack_fields(1, 5, 3).acp == pytest.approx(0.5)
-    assert compute_ack_fields(1, 9, 5).acp == pytest.approx(0.5)
-    assert compute_ack_fields(1, 3, 2).acp == pytest.approx(0.5)
+    assert ack_probability(5, 3) == pytest.approx(0.5)
+    assert ack_probability(9, 5) == pytest.approx(0.5)
+    assert ack_probability(3, 2) == pytest.approx(0.5)
 
 
 def test_acp_r1_disables_self_selection():
-    assert compute_ack_fields(1, 10, 1).acp == 0.0
+    assert ack_probability(10, 1) == 0.0
 
 
 def test_acp_single_neighbor_disables_self_selection():
-    assert compute_ack_fields(1, 1, 5).acp == 0.0
-    assert compute_ack_fields(1, 0, 5).acp == 0.0
+    assert ack_probability(1, 5) == 0.0
+    assert ack_probability(0, 5) == 0.0
 
 
 def test_acp_clamped_to_one():
-    assert compute_ack_fields(1, 3, 9).acp == 1.0
+    assert ack_probability(3, 9) == 1.0
 
 
-def test_ack_without_upstream_raises():
-    with pytest.raises(ProtocolError):
-        compute_ack_fields(None, 5, 3)
+def test_no_ack_without_upstream():
+    # an initiator that never heard a discovery has no obligate relay to name
+    assert make_node().make_ack() == []
 
 
 # --- discovery ------------------------------------------------------------
@@ -364,7 +364,8 @@ def test_sender_does_not_echo_its_own_message():
 
 class RefGcnNode(GcnNode):
     def on_discovery(self, pkt, sender, now):
-        self._maybe_enter_epoch(pkt.epoch)
+        if pkt.epoch > self.epoch:
+            self._reset_epoch(pkt.epoch)
         self.update_distance(pkt)
         if self.first_discovery_time is None:
             self.first_discovery_time = now
@@ -377,7 +378,7 @@ class RefGcnNode(GcnNode):
         best_sent = self.disc_sent.get(pkt.msg_id, -1)
         if self.is_member:
             if best_sent < 0:
-                out = Packet(kind="discovery", group=self.group,
+                out = Packet(kind="discovery",
                              origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
                              msg_id=pkt.msg_id, epoch=pkt.epoch,
                              ttl=self.source_ttl)
@@ -388,7 +389,7 @@ class RefGcnNode(GcnNode):
                 self.acked = True
                 actions.append(SendAck(self._ack_delay()))
         elif pkt.ttl >= 1 and pkt.ttl - 1 > best_sent:
-            out = Packet(kind="discovery", group=self.group, origin=pkt.origin,
+            out = Packet(kind="discovery", origin=pkt.origin,
                          hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
                          epoch=pkt.epoch, ttl=pkt.ttl - 1)
             self.disc_sent[pkt.msg_id] = pkt.ttl - 1
@@ -448,7 +449,7 @@ class RefGcnNode(GcnNode):
                     out_pairs.append((dest, d - 1))
             if not out_pairs:
                 return actions
-        out = Packet(kind="data", group=self.group, origin=pkt.origin,
+        out = Packet(kind="data", origin=pkt.origin,
                      hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
                      epoch=pkt.epoch, destinations=out_pairs,
                      payload_bytes=pkt.payload_bytes)
@@ -467,7 +468,7 @@ class RefSmfNode(SmfNode):
         if is_dest or (not pkt.destinations and self.is_member):
             actions.append(Deliver(pkt.msg_id))
         if pkt.smf_ttl > 0:
-            out = Packet(kind="data", group=pkt.group, origin=pkt.origin,
+            out = Packet(kind="data", origin=pkt.origin,
                          hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
                          destinations=pkt.destinations,
                          payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)
@@ -483,17 +484,17 @@ DESTS = st.lists(st.tuples(IDS, st.integers(0, 4)), max_size=3)
 
 def _packets():
     discovery = st.builds(
-        lambda m, hops, epoch, ttl: Packet(kind="discovery", group=0, origin=m[0],
+        lambda m, hops, epoch, ttl: Packet(kind="discovery", origin=m[0],
                                            hop_counter=hops, msg_id=m, epoch=epoch,
                                            ttl=ttl),
         MSG, st.integers(0, 4), st.integers(0, 2), st.integers(0, 3))
     acks = st.builds(
-        lambda m, epoch, obligate, acp: Packet(kind="ack", group=0, origin=m[0],
+        lambda m, epoch, obligate, acp: Packet(kind="ack", origin=m[0],
                                                hop_counter=0, msg_id=m, epoch=epoch,
                                                obligate=obligate, acp=acp),
         MSG, st.integers(0, 2), IDS, st.sampled_from([0.0, 0.3, 1.0]))
     datas = st.builds(
-        lambda m, hops, dests: Packet(kind="data", group=0, origin=m[0],
+        lambda m, hops, dests: Packet(kind="data", origin=m[0],
                                       hop_counter=hops, msg_id=m, destinations=dests,
                                       payload_bytes=100),
         MSG, st.integers(0, 4), DESTS)
@@ -516,7 +517,7 @@ def _state(node):
        source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forward,
                                       relays, source_ttl, seed):
-    nodes = [cls(SELF, is_member, 0, source_ttl, relays, random.Random(seed),
+    nodes = [cls(SELF, is_member, source_ttl, relays, random.Random(seed),
                  members_forward_data=members_forward)
              for cls in (GcnNode, RefGcnNode)]
     for node in nodes:
@@ -541,7 +542,7 @@ def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forwar
 
 @settings(max_examples=300, deadline=None)
 @given(pkts=st.lists(st.builds(
-           lambda m, hops, dests, ttl: Packet(kind="data", group=0, origin=m[0],
+           lambda m, hops, dests, ttl: Packet(kind="data", origin=m[0],
                                               hop_counter=hops, msg_id=m,
                                               destinations=[(d, 0) for d, _ in dests],
                                               payload_bytes=100, smf_ttl=ttl),

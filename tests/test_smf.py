@@ -18,7 +18,7 @@ def make_smf(node_id=0, is_member=False, seed=0):
 
 
 def flood_pkt(ttl, seq=1, dests=()):
-    return Packet(kind="data", group=0, origin=9, hop_counter=0,
+    return Packet(kind="data", origin=9, hop_counter=0,
                   msg_id=(9, seq), destinations=[(d, 0) for d in dests],
                   payload_bytes=100, smf_ttl=ttl)
 
