@@ -167,10 +167,12 @@ class Run:
         for flow_idx, flow in enumerate(sc.traffic.flows):
             senders = ([self.source] if flow.senders == "source"
                        else sorted(self.members))
-            if flow.dests == "source":
-                senders = [s for s in senders if s != self.source]
             for sender in senders:
-                self._schedule(_TRAFFIC, 0, (flow_idx, sender))
+                dests = self._resolve_dests(flow, sender)
+                # a targeted sender with no one to address sends nothing; a
+                # one-to-all sender still sends in a one-member group
+                if dests or flow.pattern == "one_to_all":
+                    self._schedule(_TRAFFIC, 0, (flow_idx, sender, dests))
         self._schedule(_SAMPLE, 1)
 
     def _schedule(self, kind: int, k: int, b=None, key=None) -> None:
@@ -202,11 +204,15 @@ class Run:
             self.trace.append((round(self.now, 9), node, event, msg_id, info, nbytes))
 
     def _resolve_dests(self, flow, sender) -> list:
+        """Who each message of `flow` from `sender` is for: the one rule,
+        applied once per sender at set-up.  A sender never addresses itself."""
         if flow.dests == "source":
-            return [self.source]
-        if flow.dests == "all":
-            return sorted(self.members - {sender})
-        return list(flow.dests)
+            dests = [self.source]
+        elif flow.dests == "all":
+            dests = sorted(self.members)
+        else:
+            dests = flow.dests
+        return [d for d in dests if d != sender]
 
     # -- event execution ---------------------------------------------------
 
@@ -238,9 +244,8 @@ class Run:
         else:
             self.report.bytes_data += nbytes
         if self.collect_trace:
-            info = pkt.ttl if pkt.kind == "discovery" else (
-                pkt.smf_ttl if pkt.smf_ttl is not None else
-                [m for _, m in pkt.destinations])
+            info = (pkt.ttl if pkt.ttl is not None
+                    else [m for _, m in pkt.destinations])
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()
@@ -295,35 +300,27 @@ class Run:
             self.report.smf_ttl = ttl
         return ttl
 
-    def _do_traffic(self, flow_idx: int, sender: int) -> None:
+    def _do_traffic(self, flow_idx: int, sender: int, dests: list) -> None:
+        """Send one message of a flow to `dests`, as `_resolve_dests` gave
+        them; a one-to-all packet names none of them."""
         flow = self.sc.traffic.flows[flow_idx]
         node = self.nodes[sender]
-        if flow.pattern == "one_to_all":
-            intended = self.members - {sender}
-            if self.sc.protocol == "gcn":
-                actions = node.send_one_to_all(flow.payload_bytes)
-            else:
-                actions = node.send_flood(self._smf_ttl_for(sender),
-                                          flow.payload_bytes)
+        targeted = flow.pattern == "targeted"
+        self._flow_counts[flow_idx][1] += len(dests)
+        if self.sc.protocol == "smf":
+            actions = node.send_flood(self._smf_ttl_for(sender), flow.payload_bytes,
+                                      destinations=dests if targeted else ())
+        elif not targeted:
+            actions = node.send_one_to_all(flow.payload_bytes)
         else:
-            dests = self._resolve_dests(flow, sender)
-            intended = set(dests)
-            if self.sc.protocol == "gcn":
-                try:
-                    actions = node.send_targeted(dests, self.sc.mrd_offset,
-                                                 flow.payload_bytes)
-                except NoRouteError:
-                    self.report.no_route_drops += 1
-                    self._flow_counts[flow_idx][1] += len(intended)
-                    self._record(sender, "noroute", None, dests)
-                    return
-            else:
-                actions = node.send_flood(self._smf_ttl_for(sender),
-                                          flow.payload_bytes,
-                                          destinations=dests)
-        self._flow_counts[flow_idx][1] += len(intended)
-        msg_id = actions[0].packet.msg_id
-        self._intended[msg_id] = (flow_idx, intended, set())
+            try:
+                actions = node.send_targeted(dests, self.sc.mrd_offset,
+                                             flow.payload_bytes)
+            except NoRouteError:
+                self.report.no_route_drops += 1
+                self._record(sender, "noroute", None, dests)
+                return
+        self._intended[actions[0].packet.msg_id] = (flow_idx, set(dests), set())
         self._apply_actions(sender, actions)
 
     def _do_discover(self, epoch: int) -> None:

@@ -86,7 +86,8 @@ class MobilitySpec:
 class TrafficFlow:
     pattern: str = "one_to_all"       # "one_to_all" | "targeted"
     senders: str = "source"           # "source" | "all_members"
-    # one_to_all: "all"; targeted: "all" | "source" | non-empty list of ids
+    # one_to_all: "all"; targeted: "all", "source" (senders "all_members")
+    # or a non-empty list of distinct ids.  A sender never addresses itself
     dests: str = "all"
     rate: float = 1.0                 # packets per second per sender
     payload_bytes: int = 1400
@@ -213,11 +214,14 @@ def validate_scenario(sc: Scenario) -> list:
             if flow.dests not in ("all", "source"):
                 out.append(f"traffic.flows[{i}].dests: must be 'all', 'source' "
                            "or a list of node ids")
+            elif flow.dests == "source" == flow.senders:
+                out.append(f"traffic.flows[{i}].dests: the source never addresses itself")
         elif not (isinstance(flow.dests, (list, tuple)) and flow.dests
                   and all(isinstance(d, int) and 0 <= d < sc.num_users
-                          for d in flow.dests)):
+                          for d in flow.dests)
+                  and len(set(flow.dests)) == len(flow.dests)):
             out.append(f"traffic.flows[{i}].dests: need a non-empty list of "
-                       "node ids in [0, num_users)")
+                       "distinct node ids in [0, num_users)")
         if flow.rate <= 0:
             out.append(f"traffic.flows[{i}].rate: must be positive")
         if flow.payload_bytes < 0:

@@ -21,26 +21,25 @@ MsgId = tuple  # (origin node id, per-origin sequence number)
 @dataclass
 class Packet:
     kind: str                 # "discovery" | "ack" | "data"
-    origin: int               # node id
     hop_counter: int          # hops this copy has traveled so far
-    msg_id: MsgId             # stable across retransmissions
-    epoch: int = 0
-    # discovery
-    ttl: int = 0              # remaining hops after this transmission
+    msg_id: MsgId             # stable across retransmissions; [0] is the origin
+    epoch: int = 0            # discovery and ack only
+    # remaining hops after this transmission: a discovery's budget, or a
+    # flooded (SMF) data copy's; None on GCN data and ACKs
+    ttl: Optional[int] = None
     # ack
     obligate: Optional[int] = None  # node id of the first-heard discovery sender
     acp: float = 0.0
     # data
     destinations: list = field(default_factory=list)  # [(dest, mrd)]; [] = one-to-all
     payload_bytes: int = 0
-    smf_ttl: Optional[int] = None  # set only on SMF-flooded data
 
     def wire_bytes(self) -> int:
         if self.kind == "discovery":
             return DISCOVERY_BYTES
         if self.kind == "ack":
             return ACK_BYTES
-        if self.smf_ttl is not None:
+        if self.ttl is not None:  # flooded
             return self.payload_bytes + SMF_TTL_HEADER_BYTES
         return (self.payload_bytes + DATA_BASE_HEADER_BYTES
                 + DEST_PAIR_BYTES * len(self.destinations))

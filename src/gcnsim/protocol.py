@@ -133,15 +133,15 @@ class GcnNode:
     # -- distance table ----------------------------------------------------
 
     def update_distance(self, pkt: Packet) -> None:
-        """Record hop distance to pkt.origin from the (origin, hop) tag.
+        """Record the hop distance to the packet's origin, `msg_id[0]`.
 
         Per message the minimum heard distance wins; a fresher message from
         the same origin overwrites outright so mobility is tracked.
         """
-        if pkt.origin == self.node_id:
+        origin, seq = pkt.msg_id
+        if origin == self.node_id:
             return
         d = pkt.hop_counter + 1
-        origin, seq = pkt.msg_id
         stored = self.distance.get(origin)
         if stored is None or seq > stored[0]:
             self.distance[origin] = (seq, d)
@@ -164,8 +164,8 @@ class GcnNode:
             self._reset_epoch(epoch)
         if epoch == self.epoch and self.transmitted_discovery:
             return []  # one initiation per epoch
-        pkt = Packet(kind="discovery", origin=self.node_id, hop_counter=0,
-                     msg_id=self._next_msg_id(), epoch=epoch, ttl=self.source_ttl)
+        pkt = Packet(kind="discovery", hop_counter=0, msg_id=self._next_msg_id(),
+                     epoch=epoch, ttl=self.source_ttl)
         self.disc_sent[pkt.msg_id] = self.source_ttl
         self.transmitted_discovery = True
         return [Transmit(pkt, self._jitter())]
@@ -200,9 +200,8 @@ class GcnNode:
 
     def _relay_discovery(self, pkt: Packet, ttl: int) -> Transmit:
         """Retransmit a heard discovery one hop further with budget `ttl`."""
-        out = Packet(kind="discovery", origin=pkt.origin,
-                     hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                     epoch=pkt.epoch, ttl=ttl)
+        out = Packet(kind="discovery", hop_counter=pkt.hop_counter + 1,
+                     msg_id=pkt.msg_id, epoch=pkt.epoch, ttl=ttl)
         self.disc_sent[pkt.msg_id] = ttl
         self.transmitted_discovery = True
         return Transmit(out, self._jitter())
@@ -217,9 +216,8 @@ class GcnNode:
             return []  # initiator that never heard an echo: nothing to ack
         if self.neighbor_count_frozen is None:
             self.neighbor_count_frozen = len(self.neighbor_senders)
-        pkt = Packet(kind="ack", origin=self.node_id, hop_counter=0,
-                     msg_id=self._next_msg_id(), epoch=self.epoch,
-                     obligate=self.upstream,
+        pkt = Packet(kind="ack", hop_counter=0, msg_id=self._next_msg_id(),
+                     epoch=self.epoch, obligate=self.upstream,
                      acp=ack_probability(self.neighbor_count_frozen,
                                          self.desired_relays))
         return [Transmit(pkt, 0.0)]
@@ -271,8 +269,7 @@ class GcnNode:
 
     def _originate(self, pairs: list, payload_bytes: int) -> list:
         """Send a new data message: `pairs` [(dest, mrd)], or [] for one-to-all."""
-        pkt = Packet(kind="data", origin=self.node_id, hop_counter=0,
-                     msg_id=self._next_msg_id(), epoch=self.epoch,
+        pkt = Packet(kind="data", hop_counter=0, msg_id=self._next_msg_id(),
                      destinations=pairs, payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
         self.delivered.add(pkt.msg_id)
@@ -315,10 +312,8 @@ class GcnNode:
                 # corridor pruned: a later copy may still qualify, so the
                 # duplicate cache is left untouched
                 return actions
-        out = Packet(kind="data", origin=pkt.origin,
-                     hop_counter=pkt.hop_counter + 1, msg_id=msg_id,
-                     epoch=pkt.epoch, destinations=out_pairs,
-                     payload_bytes=pkt.payload_bytes)
+        out = Packet(kind="data", hop_counter=pkt.hop_counter + 1, msg_id=msg_id,
+                     destinations=out_pairs, payload_bytes=pkt.payload_bytes)
         self.dup_cache.add(msg_id)
         actions.append(Transmit(out, self._jitter()))
         return actions

@@ -32,10 +32,9 @@ class SmfNode:
         return (self.node_id, self.seq)
 
     def send_flood(self, ttl: int, payload_bytes: int, destinations=()) -> list:
-        pkt = Packet(kind="data", origin=self.node_id, hop_counter=0,
-                     msg_id=self._next_msg_id(),
-                     destinations=[(d, 0) for d in destinations],
-                     payload_bytes=payload_bytes, smf_ttl=ttl)
+        pkt = Packet(kind="data", hop_counter=0, msg_id=self._next_msg_id(),
+                     ttl=ttl, destinations=[(d, 0) for d in destinations],
+                     payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
         return [Transmit(pkt, self.rng.uniform(0.0, self.forward_jitter_max))]
 
@@ -47,11 +46,10 @@ class SmfNode:
         # a copy without a destination list is for every member
         is_dest = any(d == self.node_id for d, _ in dests) if dests else self.is_member
         actions = [Deliver(pkt.msg_id)] if is_dest else []
-        if pkt.smf_ttl > 0:  # else TTL spent
-            out = Packet(kind="data", origin=pkt.origin,
-                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                         destinations=dests,
-                         payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)
+        if pkt.ttl > 0:  # else TTL spent
+            out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
+                         msg_id=pkt.msg_id, ttl=pkt.ttl - 1, destinations=dests,
+                         payload_bytes=pkt.payload_bytes)
             actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
         return actions
 

@@ -82,7 +82,7 @@ def _is_int(v):
     return type(v) is int
 
 
-def _is_id_list(v):
+def _is_int_list(v):
     return type(v) is list and all(map(_is_int, v))
 
 
@@ -90,11 +90,11 @@ def _is_id_list(v):
 # `msg_id` is set
 TRACE_SCHEMA = {
     "tx:discovery": (_is_int, True),                          # remaining TTL
-    "tx:data": (lambda v: _is_int(v) or _is_id_list(v), True),  # SMF TTL or dests
+    "tx:data": (lambda v: _is_int(v) or _is_int_list(v), True),  # SMF TTL or MRDs
     "tx:ack": (lambda v: v == [], True),
     "relay": (_is_int, False),                                # epoch
     "discover": (_is_int, False),                             # epoch
-    "noroute": (_is_id_list, False),                          # destination ids
+    "noroute": (_is_int_list, False),                         # destination ids
     "deliver": (lambda v: v is None, True),
 }
 
@@ -107,7 +107,7 @@ def assert_follows_schema(line: str) -> None:
     assert _is_int(rec["node"]) and _is_int(rec["bytes"])
     assert (rec["bytes"] > 0) == rec["event"].startswith("tx:")
     if has_msg_id:
-        assert _is_id_list(rec["msg_id"]) and len(rec["msg_id"]) == 2
+        assert _is_int_list(rec["msg_id"]) and len(rec["msg_id"]) == 2
     else:
         assert rec["msg_id"] is None
     assert info_ok(rec["info"]), line

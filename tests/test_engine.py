@@ -8,7 +8,7 @@ import pytest
 import gcnsim.engine as engine_mod
 import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
-from gcnsim.analytics import connectivity_sample
+from gcnsim.analytics import build_world, connectivity_sample
 from gcnsim.engine import Run, run_scenario, trace_hash
 from gcnsim.channel import default_curve_points
 from gcnsim.mobility import advance, init_motion
@@ -159,6 +159,35 @@ def test_targeted_send_before_discovery_counts_noroute():
     assert want >= report.no_route_drops
 
 
+def test_a_member_listed_in_its_own_dests_never_addresses_itself():
+    targeted = TrafficFlow(pattern="targeted", senders="all_members",
+                           dests="source", rate=2.0, payload_bytes=100,
+                           start=1.0, stop=2.0)
+    by_name = small_scenario(traffic=flows(targeted))
+    _, source = build_world(by_name, 0)
+    by_id = replace(by_name, traffic=flows(replace(targeted, dests=[source])))
+    trace, report = run_scenario(by_id, 0)
+    ref_trace, ref_report = run_scenario(by_name, 0)
+    # the source sends nothing, so it causes no drop and expects nothing
+    assert report.no_route_drops == 0
+    assert report.delivery_per_flow[0][1] == 2 * (report.num_members - 1)
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+
+
+@pytest.mark.parametrize("protocol", ["gcn", "smf"])
+def test_a_lone_member_sends_no_targeted_data(protocol):
+    # an empty destination list would reach receivers as one-to-all
+    sc = Scenario(num_users=30, group_prob=0.04, region_radius=60.0,
+                  protocol=protocol, traffic=flows(TrafficFlow(
+                      pattern="targeted", senders="all_members", dests="all",
+                      rate=1.0, payload_bytes=100, start=1.0, stop=4.0)))
+    trace, report = run_scenario(sc, 2)
+    assert report.num_members == 1
+    assert tx_records(trace, "data") == []
+    assert report.delivery_per_flow == [(0, 0)]
+
+
 def test_discovered_fraction_reported():
     _, report = run_scenario(small_scenario(), 0)
     assert 0.0 < report.discovered_fraction <= 1.0
@@ -277,9 +306,8 @@ class PushingRun(Run):
         else:
             self.report.bytes_data += nbytes
         if self.collect_trace:
-            info = pkt.ttl if pkt.kind == "discovery" else (
-                pkt.smf_ttl if pkt.smf_ttl is not None else
-                [m for _, m in pkt.destinations])
+            info = (pkt.ttl if pkt.ttl is not None
+                    else [m for _, m in pkt.destinations])
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()
@@ -346,15 +374,16 @@ class PreScheduledRun(Run):
         for flow_idx, flow in enumerate(sc.traffic.flows):
             senders = ([self.source] if flow.senders == "source"
                        else sorted(self.members))
-            if flow.dests == "source":
-                senders = [s for s in senders if s != self.source]
             for sender in senders:
+                dests = self._resolve_dests(flow, sender)
+                if not dests and flow.pattern == "targeted":
+                    continue
                 k = 0
                 while True:
                     t = flow.start + k / flow.rate
                     if t >= flow.stop:
                         break
-                    self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender))
+                    self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender, dests))
                     k += 1
         for k in range(1, int(sc.duration // engine_mod.SAMPLE_PERIOD) + 1):
             self._push(k * engine_mod.SAMPLE_PERIOD, engine_mod._SAMPLE, k)
@@ -498,6 +527,6 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
 @pytest.mark.parametrize("protocol", ["gcn", "smf"])
 def test_unknown_packet_kind_is_a_protocol_error(protocol):
     run = Run(small_scenario(protocol=protocol), 0)
-    beacon = Packet(kind="beacon", origin=1, hop_counter=0, msg_id=(1, 1))
+    beacon = Packet(kind="beacon", hop_counter=0, msg_id=(1, 1))
     with pytest.raises(ProtocolError, match="beacon"):
         run._receive(0, beacon, 1)

@@ -177,6 +177,14 @@ def test_default_scenario_is_valid():
         pattern="one_to_all", dests="source", stop=5.0)])), "flows[0].dests"),
     # below the 4 B data header a refresh would still put 4 B on the air
     (dict(timing=TimingParams(refresh_bytes=1)), "timing.refresh_bytes"),
+    # the source never addresses itself, so this flow would send nothing
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", senders="source", dests="source", stop=5.0)])),
+     "flows[0].dests"),
+    # a repeated id would price a second pair on every copy
+    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", senders="all_members", dests=[0, 0], stop=5.0)])),
+     "flows[0].dests"),
 ])
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)

@@ -76,16 +76,20 @@ def _flows(draw, num_users: int, duration: float) -> list:
     for _ in range(draw(st.integers(0, 2))):
         start = draw(st.floats(0.0, duration - 0.1))
         stop = draw(st.floats(start + 0.05, duration))
+        senders = draw(st.sampled_from(["source", "all_members"]))
         if draw(st.booleans()):
             pattern, dests = "one_to_all", "all"
         else:
             pattern = "targeted"
+            # the source never addresses itself, so a source-to-source flow
+            # is rejected, and so is a list that repeats an id
+            named = ["all"] if senders == "source" else ["all", "source"]
             dests = draw(st.one_of(
-                st.sampled_from(["all", "source"]),
-                st.lists(st.integers(0, num_users - 1), min_size=1, max_size=4)))
+                st.sampled_from(named),
+                st.lists(st.integers(0, num_users - 1), min_size=1, max_size=4,
+                         unique=True)))
         flows.append(TrafficFlow(
-            pattern=pattern, dests=dests,
-            senders=draw(st.sampled_from(["source", "all_members"])),
+            pattern=pattern, dests=dests, senders=senders,
             rate=draw(st.floats(0.5, 20.0)),
             payload_bytes=draw(st.integers(0, 1500)), start=start, stop=stop))
     return flows

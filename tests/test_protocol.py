@@ -16,19 +16,18 @@ from gcnsim.smf import SmfNode
 
 
 def disc(ttl, origin=99, seq=1, hops=0, epoch=0):
-    return Packet(kind="discovery", origin=origin, hop_counter=hops,
-                  msg_id=(origin, seq), epoch=epoch, ttl=ttl)
+    return Packet(kind="discovery", hop_counter=hops, msg_id=(origin, seq),
+                  epoch=epoch, ttl=ttl)
 
 
 def ack(obligate, acp, origin=50, seq=1, epoch=0):
-    return Packet(kind="ack", origin=origin, hop_counter=0,
-                  msg_id=(origin, seq), epoch=epoch, obligate=obligate, acp=acp)
+    return Packet(kind="ack", hop_counter=0, msg_id=(origin, seq), epoch=epoch,
+                  obligate=obligate, acp=acp)
 
 
 def data(origin=7, seq=1, dests=(), hops=0, payload=100):
-    return Packet(kind="data", origin=origin, hop_counter=hops,
-                  msg_id=(origin, seq), destinations=list(dests),
-                  payload_bytes=payload)
+    return Packet(kind="data", hop_counter=hops, msg_id=(origin, seq),
+                  destinations=list(dests), payload_bytes=payload)
 
 
 def transmits(actions):
@@ -378,8 +377,7 @@ class RefGcnNode(GcnNode):
         best_sent = self.disc_sent.get(pkt.msg_id, -1)
         if self.is_member:
             if best_sent < 0:
-                out = Packet(kind="discovery",
-                             origin=pkt.origin, hop_counter=pkt.hop_counter + 1,
+                out = Packet(kind="discovery", hop_counter=pkt.hop_counter + 1,
                              msg_id=pkt.msg_id, epoch=pkt.epoch,
                              ttl=self.source_ttl)
                 self.disc_sent[pkt.msg_id] = self.source_ttl
@@ -389,9 +387,8 @@ class RefGcnNode(GcnNode):
                 self.acked = True
                 actions.append(SendAck(self._ack_delay()))
         elif pkt.ttl >= 1 and pkt.ttl - 1 > best_sent:
-            out = Packet(kind="discovery", origin=pkt.origin,
-                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                         epoch=pkt.epoch, ttl=pkt.ttl - 1)
+            out = Packet(kind="discovery", hop_counter=pkt.hop_counter + 1,
+                         msg_id=pkt.msg_id, epoch=pkt.epoch, ttl=pkt.ttl - 1)
             self.disc_sent[pkt.msg_id] = pkt.ttl - 1
             actions.append(Transmit(out, self._jitter()))
             self.transmitted_discovery = True
@@ -449,9 +446,8 @@ class RefGcnNode(GcnNode):
                     out_pairs.append((dest, d - 1))
             if not out_pairs:
                 return actions
-        out = Packet(kind="data", origin=pkt.origin,
-                     hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
-                     epoch=pkt.epoch, destinations=out_pairs,
+        out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
+                     msg_id=pkt.msg_id, destinations=out_pairs,
                      payload_bytes=pkt.payload_bytes)
         self.dup_cache.add(pkt.msg_id)
         actions.append(Transmit(out, self._jitter()))
@@ -467,11 +463,11 @@ class RefSmfNode(SmfNode):
         is_dest = any(d == self.node_id for d, _ in pkt.destinations)
         if is_dest or (not pkt.destinations and self.is_member):
             actions.append(Deliver(pkt.msg_id))
-        if pkt.smf_ttl > 0:
-            out = Packet(kind="data", origin=pkt.origin,
-                         hop_counter=pkt.hop_counter + 1, msg_id=pkt.msg_id,
+        if pkt.ttl > 0:
+            out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
+                         msg_id=pkt.msg_id, ttl=pkt.ttl - 1,
                          destinations=pkt.destinations,
-                         payload_bytes=pkt.payload_bytes, smf_ttl=pkt.smf_ttl - 1)
+                         payload_bytes=pkt.payload_bytes)
             actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
         return actions
 
@@ -484,19 +480,17 @@ DESTS = st.lists(st.tuples(IDS, st.integers(0, 4)), max_size=3)
 
 def _packets():
     discovery = st.builds(
-        lambda m, hops, epoch, ttl: Packet(kind="discovery", origin=m[0],
-                                           hop_counter=hops, msg_id=m, epoch=epoch,
-                                           ttl=ttl),
+        lambda m, hops, epoch, ttl: Packet(kind="discovery", hop_counter=hops,
+                                           msg_id=m, epoch=epoch, ttl=ttl),
         MSG, st.integers(0, 4), st.integers(0, 2), st.integers(0, 3))
     acks = st.builds(
-        lambda m, epoch, obligate, acp: Packet(kind="ack", origin=m[0],
-                                               hop_counter=0, msg_id=m, epoch=epoch,
+        lambda m, epoch, obligate, acp: Packet(kind="ack", hop_counter=0,
+                                               msg_id=m, epoch=epoch,
                                                obligate=obligate, acp=acp),
         MSG, st.integers(0, 2), IDS, st.sampled_from([0.0, 0.3, 1.0]))
     datas = st.builds(
-        lambda m, hops, dests: Packet(kind="data", origin=m[0],
-                                      hop_counter=hops, msg_id=m, destinations=dests,
-                                      payload_bytes=100),
+        lambda m, hops, dests: Packet(kind="data", hop_counter=hops, msg_id=m,
+                                      destinations=dests, payload_bytes=100),
         MSG, st.integers(0, 4), DESTS)
     return st.one_of(discovery, acks, datas)
 
@@ -542,10 +536,10 @@ def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forwar
 
 @settings(max_examples=300, deadline=None)
 @given(pkts=st.lists(st.builds(
-           lambda m, hops, dests, ttl: Packet(kind="data", origin=m[0],
-                                              hop_counter=hops, msg_id=m,
+           lambda m, hops, dests, ttl: Packet(kind="data", hop_counter=hops,
+                                              msg_id=m, ttl=ttl,
                                               destinations=[(d, 0) for d, _ in dests],
-                                              payload_bytes=100, smf_ttl=ttl),
+                                              payload_bytes=100),
            MSG, st.integers(0, 4), DESTS, st.integers(0, 3)), max_size=30),
        is_member=st.booleans(), seed=st.integers(0, 2**16))
 def test_smf_on_data_matches_reference(pkts, is_member, seed):

@@ -18,9 +18,8 @@ def make_smf(node_id=0, is_member=False, seed=0):
 
 
 def flood_pkt(ttl, seq=1, dests=()):
-    return Packet(kind="data", origin=9, hop_counter=0,
-                  msg_id=(9, seq), destinations=[(d, 0) for d in dests],
-                  payload_bytes=100, smf_ttl=ttl)
+    return Packet(kind="data", hop_counter=0, msg_id=(9, seq), ttl=ttl,
+                  destinations=[(d, 0) for d in dests], payload_bytes=100)
 
 
 def transmits(actions):
@@ -31,7 +30,7 @@ def test_forwards_first_copy_and_decrements_ttl():
     node = make_smf(1)
     out = transmits(node.on_data(flood_pkt(ttl=3), 2, 0.0))
     assert len(out) == 1
-    assert out[0].packet.smf_ttl == 2
+    assert out[0].packet.ttl == 2
     assert out[0].packet.hop_counter == 1
 
 
@@ -67,7 +66,7 @@ def test_delivery_rules():
 def test_send_flood_carries_ttl_and_suppresses_echo():
     node = make_smf(1)
     out = transmits(node.send_flood(4, 100))
-    assert out[0].packet.smf_ttl == 4
+    assert out[0].packet.ttl == 4
     assert node.on_data(out[0].packet, 2, 0.0) == []
 
 

@@ -31,12 +31,19 @@ sys.path.insert(0, str(ROOT / "src"))
 from gcnsim.cli import parse_seeds  # noqa: E402
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result is the last line of standard output."""
+def bench(side: str, checkout: Path, workload: str, seed: int, seconds: float,
+          trace: int) -> dict:
+    """One perfbench run; its result is the last line of standard output.  A
+    failing run shows its side, workload, seed and standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=True)
+    try:
+        done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              check=True)
+    except subprocess.CalledProcessError as exc:
+        print(f"{side} run failed: workload {workload}, seed {seed}, "
+              f"trace {trace}\n{exc.stderr}", file=sys.stderr, flush=True)
+        raise
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -104,12 +111,13 @@ def main(argv=None) -> int:
         for offset, seed in enumerate(seeds):
             order = SIDES if offset % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(bench(checkouts[side], name, seed, seconds, 0))
+                runs[side].append(bench(side, checkouts[side], name, seed, seconds, 0))
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['wall_s']['value']:.3f} s"
                 for side in SIDES), file=sys.stderr, flush=True)
         record["end_to_end"][name] = summarize(runs, better)
-        layers = {side: bench(checkouts[side], name, TRACED_SEED, seconds, 1)["metrics"]
+        layers = {side: bench(side, checkouts[side], name, TRACED_SEED, seconds,
+                              1)["metrics"]
                   for side in SIDES}
         traced["workloads"][name] = {
             metric: [round(layers[side][metric]["value"], 6) for side in SIDES]
