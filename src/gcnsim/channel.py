@@ -1,8 +1,10 @@
-"""Broadcast channel: a distance-dependent packet error rate over the pairs
-geometry puts in range, with an optional flat interference-loss overlay.
+"""Broadcast channel: a packet error rate over the pairs geometry puts in
+range, with an optional flat interference-loss overlay.
 
-The overlay follows the success-rate scaling rule: the effective success
-probability at distance d is (1 - base_loss) * (1 - per(d)).
+A flat PER is priced once per run, and a transmission samples the sender's
+unit-disk row with it; only a curve of distance prices pairs.  The overlay
+follows the success-rate scaling rule: the effective success probability
+at distance d is (1 - base_loss) * (1 - per(d)).
 """
 
 from __future__ import annotations
@@ -44,20 +46,25 @@ def _curve_per(points: list, d: float) -> float:
 def per_at(spec: ChannelSpec, d: float) -> float:
     """Packet error rate at distance d, including the base-loss overlay, for
     a pair already in range."""
-    if spec.flat_per is not None:
-        per = spec.flat_per
-    elif spec.curve_points:
-        per = _curve_per(spec.curve_points, d)
-    else:
-        per = 0.0
+    per = (spec.flat_per if spec.flat_per is not None
+           else _curve_per(spec.curve_points, d))
     return 1.0 - (1.0 - spec.base_loss) * (1.0 - per)
 
 
-def hearers(row: list, rng: random.Random) -> list:
-    """Sample which entries of one sender's neighbour row hear a transmission.
+def hearers(row: list, per, rng: random.Random) -> list:
+    """Sample who hears one transmission, in row order.
 
-    row: [(NodeId, per)] in id order, each per < 1.  One `rng.random()` is
-    drawn per entry with 0 < per < 1, in row order, so the stream is
-    reproducible; a lossless entry always hears and draws nothing.
+    A flat channel passes the sender's unit-disk row (ids in id order) and
+    its one PER: at per <= 0 the row itself is returned (not to be changed)
+    and at per >= 1 nobody hears.  A curve passes per None and a priced row
+    [(NodeId, per)], each per < 1.  Either way one `rng.random()` is drawn
+    per entry with 0 < per < 1, in row order, so the stream is reproducible.
     """
-    return [node for node, per in row if per <= 0.0 or rng.random() >= per]
+    if per is None:
+        return [node for node, p in row if p <= 0.0 or rng.random() >= p]
+    if per <= 0.0:
+        return row
+    if per >= 1.0:
+        return []
+    rnd = rng.random
+    return [node for node in row if rnd() >= per]

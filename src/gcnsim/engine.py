@@ -93,16 +93,20 @@ class Run:
                             make_rng(seed, STREAM_MOBILITY, nid),
                             self._placement_radius)
                 for nid in self.node_ids]
-        # Geometry state of the current positions: the unit-disk graph, and
-        # node id -> [(neighbour id, per)] in id order over every neighbour
-        # the channel can reach, priced from the graph.  A static run builds
-        # the graph and every row at set-up; a mobile run builds each on
-        # first use after a move (a sender's row when it first transmits),
-        # and `_sync_positions` drops them together.  Plain attributes, not
-        # cached properties: reading `__dict__` would slow every attribute
-        # read for the rest of the run
+        # Geometry state of the current positions: the unit-disk graph, built
+        # at set-up in a static run and on first use after a move in a mobile
+        # one.  A flat channel's one PER is priced here and samples the
+        # graph's rows; only a curve prices pairs, into sender -> [(neighbour
+        # id, per)], a row built when the sender first transmits.
+        # `_sync_positions` drops the graph and the rows together.  Plain
+        # attributes, not cached properties: reading `__dict__` would slow
+        # every attribute read for the rest of the run
+        spec = scenario.channel
+        self._flat_per = None if spec.flat_per is None else channel_mod.per_at(spec, 0.0)
+        self._priced_rows: dict = {}
         self._unit_disk = None
-        self._neighbor_cache = {} if self._mobile else self._build_neighbor_cache()
+        if not self._mobile:
+            self._graph()
 
         self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
                                     num_members=len(self.members), source=self.source)
@@ -116,26 +120,10 @@ class Run:
 
     # -- setup -------------------------------------------------------------
 
-    def _build_neighbor_cache(self) -> dict:
-        """Every node's neighbour row, priced from the unit-disk graph, which
-        the flood oracle then reuses; each pair is priced once."""
-        spec, positions = self.sc.channel, self.positions
-        adj = self._graph()
-        cache = {a: [] for a in adj}
-        for a, row in adj.items():
-            pos, entries = positions[a], cache[a]
-            for b in row:
-                if b > a:
-                    per = channel_mod.per_at(spec, pos.distance_to(positions[b]))
-                    if per < 1.0:
-                        entries.append((b, per))
-                        cache[b].append((a, per))
-        return cache
-
     def _neighbor_row(self, sender: int) -> list:
-        """A mobile run's row for one sender, priced from the graph of the
-        current positions (the caller has synced them); certain-loss pairs
-        are left out."""
+        """A curve channel's row for one sender, priced from the graph of the
+        current positions (a mobile caller has synced them); certain-loss
+        pairs are left out."""
         spec, positions = self.sc.channel, self.positions
         pos = positions[sender]
         row = []
@@ -249,10 +237,12 @@ class Run:
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()
-        row = self._neighbor_cache.get(sender)
-        if row is None:
-            row = self._neighbor_cache[sender] = self._neighbor_row(sender)
-        hearers = channel_mod.hearers(row, self.channel_rng)
+        per = self._flat_per
+        if per is not None:
+            row = self._graph()[sender]
+        elif (row := self._priced_rows.get(sender)) is None:
+            row = self._priced_rows[sender] = self._neighbor_row(sender)
+        hearers = channel_mod.hearers(row, per, self.channel_rng)
         if not hearers:
             return
         heap = self._heap
@@ -354,7 +344,7 @@ class Run:
                 self.positions)
         self._tick = due
         # everything derived from the old positions is stale
-        self._neighbor_cache.clear()
+        self._priced_rows.clear()
         self._unit_disk = None
 
     def _do_sample(self) -> None:

@@ -1,8 +1,8 @@
 """Who is within the radius, decided here and nowhere else, by one rule:
 `dx*dx + dy*dy <= r*r`.  `unit_disk_adjacency` answers it for every pair (the
-graph that prices every channel row, static or mobile, and gives the flood
-oracle its hop counts), and `reached_count` along a depth-first connectivity
-search that builds no graph.
+graph whose rows the channel samples, static or mobile, and that gives the
+flood oracle its hop counts), and `reached_count` along a depth-first
+connectivity search that builds no graph.
 """
 
 from __future__ import annotations

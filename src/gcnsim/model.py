@@ -66,8 +66,8 @@ class TimingParams:
 @dataclass
 class ChannelSpec:
     """Loss inside the scenario's transmit radius; beyond it nothing is heard."""
-    # flat_per and curve_points are mutually exclusive: a curve needs
-    # flat_per None, and validation rejects a spec that sets both
+    # exactly one loss model: a flat_per in [0, 1], or a non-empty curve
+    # with flat_per None; validation rejects a spec that sets both or neither
     flat_per: Optional[float] = 0.0
     curve_points: Optional[list] = None  # [(distance_m, per), ...] increasing
     base_loss: float = 0.0
@@ -173,6 +173,8 @@ def validate_scenario(sc: Scenario) -> list:
         out.append("channel.flat_per: must be in [0, 1]")
     if ch.flat_per is not None and ch.curve_points is not None:
         out.append("channel.flat_per: must be null when curve_points is set")
+    if ch.flat_per is None and not ch.curve_points:
+        out.append("channel.curve_points: must be non-empty when flat_per is null")
     if not (0.0 <= ch.base_loss <= 1.0):
         out.append("channel.base_loss: must be in [0, 1]")
     if ch.curve_points is not None:

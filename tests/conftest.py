@@ -52,6 +52,16 @@ def run_on(monkeypatch, positions: dict, members=None,
     return engine_mod.Run(sc, 0, collect_trace=False)
 
 
+def channel_row(run: engine_mod.Run, sender: int) -> list:
+    """[(id, per)] in id order for every node that can hear `sender` at the
+    run's current positions: a flat channel's unit-disk row at its one PER
+    (none at certain loss), or a curve's row priced pair by pair."""
+    per = run._flat_per
+    if per is None:
+        return run._neighbor_row(sender)
+    return [] if per >= 1.0 else [(nid, per) for nid in run._graph()[sender]]
+
+
 def make_node(node_id=0, is_member=False, source_ttl=3, desired_relays=1,
               seed=0, **kwargs) -> GcnNode:
     return GcnNode(node_id, is_member, source_ttl, desired_relays,

@@ -24,8 +24,11 @@ def test_beyond_radius_is_certain_loss(monkeypatch):
     positions = {0: Position(0.0, 0.0), 1: Position(40.000001, 0.0),
                  2: Position(0.0, -1000.0)}
     run = run_on(monkeypatch, positions, tx_radius=40.0)
-    assert run._neighbor_cache == {0: [], 1: [], 2: []}
+    assert run._graph() == {0: [], 1: [], 2: []}
     assert unit_disk_adjacency(positions, 40.0) == {0: [], 1: [], 2: []}
+    # so even a loss-free channel leaves every transmission unheard
+    assert all(hearers(run._graph()[s], run._flat_per, random.Random(0)) == []
+               for s in positions)
 
 
 def test_base_loss_scaling_arithmetic():
@@ -39,11 +42,6 @@ def test_base_loss_scaling_arithmetic():
     # saturation: certain loss stays certain under scaling
     spec = ChannelSpec(flat_per=1.0, base_loss=0.3)
     assert per_at(spec, 10.0) == pytest.approx(1.0)
-
-
-def test_no_curve_no_flat_means_lossless_within_the_radius():
-    spec = ChannelSpec(flat_per=None, curve_points=None)
-    assert per_at(spec, 10.0) == 0.0
 
 
 def test_default_curve_endpoints():
@@ -84,20 +82,20 @@ def test_flat_per_wins_over_curve():
 def test_broadcast_bernoulli_rate():
     rng = random.Random(0)
     row = [(1, per_at(ChannelSpec(flat_per=0.5), 10.0))]
-    hits = sum(hearers(row, rng) == [1] for _ in range(10000))
+    hits = sum(hearers(row, None, rng) == [1] for _ in range(10000))
     assert abs(hits / 10000 - 0.5) < 0.02
 
 
 def test_broadcast_deterministic_under_same_stream():
     row = [(i, 0.3) for i in range(1, 8)]
-    assert hearers(row, random.Random(42)) == hearers(row, random.Random(42))
+    assert hearers(row, None, random.Random(42)) == hearers(row, None, random.Random(42))
     # one draw per entry with 0 < per < 1, in row order; a lossless entry
     # hears without consuming a draw
     ref = random.Random(42)
     draws = [ref.random() for _ in row]
     want = [nid for (nid, per), u in zip(row, draws) if u >= per]
     rng = random.Random(42)
-    got = hearers(row[:3] + [(20, 0.0)] + row[3:], rng)
+    got = hearers(row[:3] + [(20, 0.0)] + row[3:], None, rng)
     assert got == [n for n in want if n <= 3] + [20] + [n for n in want if n > 3]
     assert rng.random() == ref.random()
 
@@ -106,7 +104,26 @@ def test_broadcast_excludes_out_of_range(monkeypatch):
     positions = {0: Position(0.0, 0.0), 1: Position(30.0, 0.0),
                  2: Position(-50.0, 0.0)}
     run = run_on(monkeypatch, positions, tx_radius=40.0)
-    assert run._neighbor_cache == {0: [(1, 0.0)], 1: [(0, 0.0)], 2: []}
+    assert run._graph() == {0: [1], 1: [0], 2: []}
     assert unit_disk_adjacency(positions, 40.0) == {0: [1], 1: [0], 2: []}
-    # rows hold only entries with per < 1, and a lossless entry always hears
-    assert hearers(run._neighbor_cache[0], random.Random(0)) == [1]
+    # a loss-free flat channel: the graph's row is the hearer list itself
+    assert run._flat_per == 0.0
+    row = run._graph()[0]
+    assert hearers(row, run._flat_per, random.Random(0)) is row
+    # a curve's rows hold only entries with per < 1, and a lossless entry
+    # always hears
+    curve = ChannelSpec(flat_per=None, curve_points=[(30.0, 0.0), (40.0, 1.0)])
+    run = run_on(monkeypatch, positions, tx_radius=40.0, channel=curve)
+    assert [run._neighbor_row(s) for s in positions] == [[(1, 0.0)], [(0, 0.0)], []]
+    assert hearers(run._neighbor_row(0), None, random.Random(0)) == [1]
+
+
+@pytest.mark.parametrize("per", [0.0, 0.3, 1.0])
+def test_flat_sampling_draws_as_a_row_priced_at_the_one_per(per):
+    # the same hearers and the same draws, in the same order, as a curve's
+    # row priced at `per` throughout (certain loss leaves it empty)
+    ids = list(range(1, 9))
+    priced = [(nid, per) for nid in ids if per < 1.0]
+    flat_rng, priced_rng = random.Random(7), random.Random(7)
+    assert hearers(ids, per, flat_rng) == hearers(priced, None, priced_rng)
+    assert flat_rng.getstate() == priced_rng.getstate()

@@ -226,8 +226,9 @@ def test_refresh_packets_counted_as_data():
 
 
 def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
-    # a static run of either protocol builds one graph at set-up: it prices
-    # the channel rows and gives the flood's TTL oracle its hop counts
+    # a static run of either protocol builds one graph at set-up: its rows
+    # are the flat channel's rows, and it gives the flood's TTL oracle its
+    # hop counts
     built = []
     real = smf_mod.unit_disk_adjacency
 
@@ -311,10 +312,12 @@ class PushingRun(Run):
             self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()
-        row = self._neighbor_cache.get(sender)
-        if row is None:
-            row = self._neighbor_cache[sender] = self._neighbor_row(sender)
-        hearers = engine_mod.channel_mod.hearers(row, self.channel_rng)
+        per = self._flat_per
+        if per is not None:
+            row = self._graph()[sender]
+        elif (row := self._priced_rows.get(sender)) is None:
+            row = self._priced_rows[sender] = self._neighbor_row(sender)
+        hearers = engine_mod.channel_mod.hearers(row, per, self.channel_rng)
         if hearers:
             self._push(self.now, engine_mod._RX, (pkt, sender), hearers)
 
@@ -431,48 +434,109 @@ def test_each_series_pushing_its_successor_matches_pushing_all_at_set_up(sc, see
     assert lazy.channel_rng.getstate() == eager.channel_rng.getstate()
 
 
-# --- channel neighbour table ----------------------------------------------
+# --- channel rows --------------------------------------------------------
 
 def test_pairwise_table_matches_rows_priced_one_sender_at_a_time():
+    # a curve prices each sender's row when it first transmits; after the run
+    # every row held equals the row priced afresh for that sender alone
     curve = default_curve_points()
     for channel, radius in [
             (ChannelSpec(flat_per=None, base_loss=0.1, curve_points=curve), 40.0),
             # past the curve's certain-loss point at 60 m: in-range pairs
             # that can never hear are left out of the rows
-            (ChannelSpec(flat_per=None, curve_points=curve), 75.0),
-            (ChannelSpec(flat_per=0.2, base_loss=0.3), 40.0)]:
-        run = Run(small_scenario(channel=channel, tx_radius=radius), 0)
-        assert run._neighbor_cache == {s: run._neighbor_row(s) for s in run.node_ids}
-        pers = [per for row in run._neighbor_cache.values() for _, per in row]
+            (ChannelSpec(flat_per=None, curve_points=curve), 75.0)]:
+        run = Run(small_scenario(channel=channel, tx_radius=radius,
+                                 traffic=flows(one_to_all_flow())), 0)
+        run.run()
+        assert len(run._priced_rows) > 1
+        assert run._priced_rows == {s: run._neighbor_row(s) for s in run._priced_rows}
+        pers = [per for row in run._priced_rows.values() for _, per in row]
         assert any(0.0 < per < 1.0 for per in pers)
-        linked = sum(map(len, run._unit_disk.values()))
+        linked = sum(len(run._unit_disk[s]) for s in run._priced_rows)
         if radius > curve[-1][0]:
             assert len(pers) < linked
         else:
             assert len(pers) == linked
 
 
+_STATIC_AND_MOBILE = pytest.mark.parametrize("mobility", [
+    MobilitySpec(),
+    MobilitySpec(kind="random_waypoint", speed_min=1.0, speed_max=5.0,
+                 pause_min=0.0, pause_max=0.5)], ids=["static", "mobile"])
+
+
+@_STATIC_AND_MOBILE
+def test_a_flat_channel_prices_no_pair(mobility, monkeypatch):
+    # its one PER is priced at set-up, and every transmission samples the
+    # unit-disk graph's row with it
+    priced = []
+    real = engine_mod.channel_mod.per_at
+
+    def counting(spec, d):
+        priced.append(d)
+        return real(spec, d)
+
+    monkeypatch.setattr(engine_mod.channel_mod, "per_at", counting)
+    sc = small_scenario(channel=ChannelSpec(flat_per=0.2, base_loss=0.3),
+                        mobility=mobility, traffic=flows(one_to_all_flow()))
+    run = Run(sc, 0)
+    assert priced == [0.0]
+    assert run._flat_per == pytest.approx(1.0 - 0.7 * 0.8)
+    trace, _ = run.run()
+    assert len(tx_records(trace, "data")) > 10
+    assert priced == [0.0]
+    assert run._priced_rows == {}
+
+
+_PER_CASES = [(p, base_loss) for p in (0.0, 0.3, 1.0) for base_loss in (0.0, 0.25)]
+
+
+@pytest.mark.parametrize("protocol", ["gcn", "smf"])
+@_STATIC_AND_MOBILE
+@pytest.mark.parametrize("per, base_loss", _PER_CASES,
+                         ids=[f"per{p}-base{b}" for p, b in _PER_CASES])
+def test_flat_channel_runs_as_a_constant_curve(per, base_loss, mobility, protocol):
+    # a constant curve takes the priced path: the flat path must hear, draw
+    # and trace exactly as it does
+    targeted = TrafficFlow(pattern="targeted", senders="all_members",
+                           dests="source", rate=2.0, payload_bytes=100,
+                           start=1.0, stop=2.5)
+    runs = [Run(small_scenario(protocol=protocol, mobility=mobility,
+                               channel=channel,
+                               traffic=flows(one_to_all_flow(), targeted)), 1)
+            for channel in (
+                ChannelSpec(flat_per=per, base_loss=base_loss),
+                ChannelSpec(flat_per=None, base_loss=base_loss,
+                            curve_points=[(0.0, per), (1000.0, per)]))]
+    (trace, report), (ref_trace, ref_report) = (run.run() for run in runs)
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+    assert runs[0].channel_rng.getstate() == runs[1].channel_rng.getstate()
+    assert runs[0]._priced_rows == {} and runs[1]._flat_per is None
+
+
 def test_mobile_table_holds_only_rows_priced_since_the_last_move():
     sc = small_scenario(
         duration=5.0,
+        channel=ChannelSpec(flat_per=None, curve_points=default_curve_points()),
         mobility=MobilitySpec(kind="random_waypoint", speed_min=1.0,
                               speed_max=5.0, pause_min=0.0, pause_max=0.5),
         traffic=flows(one_to_all_flow(start=1.0, stop=4.0, rate=10.0)))
     run = Run(sc, 0)
-    assert run._neighbor_cache == {}
+    assert run._priced_rows == {}
     sync = run._sync_positions
     checked = []
 
     def checking_sync():
         # just before the next move, every cached row is the one the
         # current positions give
-        tick, cached = run._tick, len(run._neighbor_cache)
-        for sender, row in run._neighbor_cache.items():
+        tick, cached = run._tick, len(run._priced_rows)
+        for sender, row in run._priced_rows.items():
             assert row == run._neighbor_row(sender)
         sync()
         if run._tick != tick:
             checked.append(cached)
-            assert run._neighbor_cache == {}
+            assert run._priced_rows == {}
 
     run._sync_positions = checking_sync
     run.run()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_on, small_scenario
+from conftest import channel_row, run_on, small_scenario
 from gcnsim.analytics import connectivity_sample
 from gcnsim.channel import default_curve_points, per_at
 from gcnsim.engine import Run
@@ -174,7 +174,8 @@ def test_static_table_equals_brute_force_rows(channel, seed, radius, users):
     sc = small_scenario(num_users=users, group_prob=1.0, tx_radius=radius,
                         channel=channel)
     run = Run(sc, seed, collect_trace=False)
-    assert run._neighbor_cache == {s: brute_row(run, s) for s in run.node_ids}
+    assert {s: channel_row(run, s) for s in run.node_ids} == {
+        s: brute_row(run, s) for s in run.node_ids}
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +192,7 @@ def test_mobile_rows_equal_brute_force_rows(channel, seed, radius):
         run.now = now
         run._sync_positions()
         for s in run.node_ids:
-            assert run._neighbor_row(s) == brute_row(run, s)
+            assert channel_row(run, s) == brute_row(run, s)
 
 
 @pytest.mark.parametrize("channel", [
@@ -212,6 +213,6 @@ def test_pairs_one_radius_apart_are_heard_exactly_when_linked(channel, monkeypat
     run = run_on(monkeypatch, positions, tx_radius=r, channel=channel)
     adj = unit_disk_adjacency(positions, r)
     assert 0 < sum(bool(adj[2 * k]) for k in range(200)) < 200  # both sides occur
+    assert run._graph() == adj
     for a in positions:
-        assert [b for b, _ in run._neighbor_cache[a]] == adj[a]
-        assert run._neighbor_row(a) == run._neighbor_cache[a]
+        assert [b for b, _ in channel_row(run, a)] == adj[a]

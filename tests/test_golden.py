@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import one_to_all_flow, small_scenario
+from conftest import channel_row, one_to_all_flow, small_scenario
 from gcnsim.cli import write_outputs
 from gcnsim.engine import Run, trace_hash
 from gcnsim.model import MobilitySpec, TimingParams, TrafficSpec
@@ -50,10 +50,12 @@ def _cases() -> dict:
         rs, timing=replace(rs.timing, forward_jitter_max=0.0))
     cases["resiliency_r5_loss50"] = replace(
         rs, desired_relays=5, channel=replace(rs.channel, base_loss=0.5))
-    cases["targeted_mobile"] = replace(
-        tc, mrd_offset=1,
-        mobility=MobilitySpec(kind="random_waypoint", speed_min=0.0,
-                              speed_max=5.0, pause_min=0.0, pause_max=2.0))
+    rwp = MobilitySpec(kind="random_waypoint", speed_min=0.0, speed_max=5.0,
+                       pause_min=0.0, pause_max=2.0)
+    cases["targeted_mobile"] = replace(tc, mrd_offset=1, mobility=rwp)
+    # the one case whose per-pair channel rows (a curve) are priced on a
+    # moving fleet
+    cases["full_matrix_mobile"] = replace(cases["full_matrix"], mobility=rwp)
     return {f"{name}/{protocol}/{seed}": (replace(sc, protocol=protocol), seed)
             for name, sc in sorted(cases.items())
             for protocol in ("gcn", "smf") for seed in SEEDS}
@@ -112,15 +114,16 @@ def _check_receptions_in_id_order(sc) -> None:
     run._receive = recording
     trace, _ = run.run()
     senders = [rec[1] for rec in trace if rec[2].startswith("tx:")]
-    assert all(run._neighbor_cache[s] for s in senders)
+    rows = {s: [nid for nid, _ in channel_row(run, s)] for s in senders}
+    assert all(rows.values())
     assert [s for s, _, _ in heard] == senders
     for sender, _, hearers in heard:
-        assert hearers == [nid for nid, _ in run._neighbor_cache[sender]]
+        assert hearers == rows[sender]
 
 
 def test_each_transmission_reaches_every_neighbour_in_id_order():
     """On a loss-free static channel every transmission calls `Run._receive`
-    once per entry of the sender's neighbour table, in id order, and the
+    once per node of the sender's unit-disk row, in id order, and the
     receptions of one transmission are not interleaved with any other.
     Without jitter, transmissions share instants, so receptions also take the
     engine's queued path."""

@@ -185,6 +185,11 @@ def test_default_scenario_is_valid():
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", senders="all_members", dests=[0, 0], stop=5.0)])),
      "flows[0].dests"),
+    # a channel with no loss model would run loss-free apart from base_loss
+    (dict(channel=ChannelSpec(flat_per=None, curve_points=[])),
+     "channel.curve_points: must be non-empty"),
+    (dict(channel=ChannelSpec(flat_per=None, curve_points=None)),
+     "channel.curve_points: must be non-empty"),
 ])
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)
