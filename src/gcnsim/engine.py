@@ -66,6 +66,7 @@ class Run:
 
         tm = scenario.timing
         if scenario.protocol == "gcn":
+            targeted = any(f.pattern == "targeted" for f in scenario.traffic.flows)
             self.nodes = {
                 nid: GcnNode(nid, nid in self.members, scenario.source_ttl,
                              scenario.desired_relays,
@@ -73,7 +74,8 @@ class Run:
                              ack_delay_max=tm.ack_delay_max,
                              neighbor_count_window=tm.neighbor_count_window,
                              forward_jitter_max=tm.forward_jitter_max,
-                             members_forward_data=scenario.members_forward_data)
+                             members_forward_data=scenario.members_forward_data,
+                             learns_distance=targeted)
                 for nid in self.node_ids}
         else:
             self.nodes = {

@@ -18,7 +18,7 @@ SMF_TTL_HEADER_BYTES = 2
 MsgId = tuple  # (origin node id, per-origin sequence number)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     kind: str                 # "discovery" | "ack" | "data"
     hop_counter: int          # hops this copy has traveled so far

@@ -15,13 +15,14 @@ and R the desired relay density.  Data forwarding is either one-to-all over
 the elected relays, or corridor-confined toward specific destinations using
 per-destination hop-count gradients and a maximum-retransmit-distance field.
 
-Each handler records the hop distance to the packet's origin
-(`update_distance`, the one distance rule), then returns at the first test
-that settles a copy.  `on_data` delivers once (to listed destinations; for
-one-to-all, to members), then drops a duplicate, a copy at a non-forwarder
-and a pruned corridor; `on_discovery` drops a spent TTL or a duplicate at a
-non-member, a duplicate at a member; `on_ack` drops a stale epoch, a relay's
-copy and an unelected hearer's.
+Each handler of a node that learns distances (in a run with a targeted flow,
+the only traffic that reads them) records the hop distance to the packet's
+origin (`update_distance`, the one distance rule), then returns at the first
+test that settles a copy.  `on_data` delivers once (to listed destinations;
+for one-to-all, to members), then drops a duplicate, a copy at a
+non-forwarder and a pruned corridor; `on_discovery` drops a spent TTL or a
+duplicate at a non-member, a duplicate at a member; `on_ack` drops a stale
+epoch, a relay's copy and an unelected hearer's.
 """
 
 from __future__ import annotations
@@ -44,23 +45,23 @@ class NoRouteError(ProtocolError):
 
 # --- Actions returned by handlers -----------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Transmit:
     packet: Packet
     delay: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SendAck:
     delay: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BecomeRelay:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Deliver:
     msg_id: tuple
 
@@ -84,7 +85,8 @@ class GcnNode:
                  ack_delay_max: float = TimingParams.ack_delay_max,
                  neighbor_count_window: float = TimingParams.neighbor_count_window,
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
-                 members_forward_data: bool = True):
+                 members_forward_data: bool = True,
+                 learns_distance: bool = True):
         self.node_id = node_id
         self.is_member = is_member
         self.source_ttl = source_ttl
@@ -94,6 +96,7 @@ class GcnNode:
         self.neighbor_count_window = neighbor_count_window
         self.forward_jitter_max = forward_jitter_max
         self.members_forward_data = members_forward_data
+        self.learns_distance = learns_distance
 
         # persistent state
         self.seq = 0                      # per-origin message sequence
@@ -125,7 +128,8 @@ class GcnNode:
         return (self.node_id, self.seq)
 
     def _jitter(self) -> float:
-        return self.rng.uniform(0.0, self.forward_jitter_max)
+        # uniform(0.0, m) in one multiply: the same bits for m >= 0
+        return self.forward_jitter_max * self.rng.random()
 
     def _ack_delay(self) -> float:
         return self.rng.uniform(0.5 * self.ack_delay_max, self.ack_delay_max)
@@ -173,7 +177,8 @@ class GcnNode:
     def on_discovery(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.epoch > self.epoch:
             self._reset_epoch(pkt.epoch)
-        self.update_distance(pkt)
+        if self.learns_distance:
+            self.update_distance(pkt)
         if self.first_discovery_time is None:
             self.first_discovery_time = now
         if (self.neighbor_count_frozen is None
@@ -223,7 +228,8 @@ class GcnNode:
         return [Transmit(pkt, 0.0)]
 
     def on_ack(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        self.update_distance(pkt)
+        if self.learns_distance:
+            self.update_distance(pkt)
         if pkt.epoch != self.epoch:
             return []
         if self.is_relay:
@@ -276,7 +282,8 @@ class GcnNode:
         return [Transmit(pkt, self._jitter())]
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        self.update_distance(pkt)
+        if self.learns_distance:
+            self.update_distance(pkt)
         msg_id = pkt.msg_id
         pairs = pkt.destinations
         if pairs:

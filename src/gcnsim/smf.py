@@ -36,7 +36,7 @@ class SmfNode:
                      ttl=ttl, destinations=[(d, 0) for d in destinations],
                      payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
-        return [Transmit(pkt, self.rng.uniform(0.0, self.forward_jitter_max))]
+        return [Transmit(pkt, self.forward_jitter_max * self.rng.random())]
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.msg_id in self.dup_cache:
@@ -50,7 +50,7 @@ class SmfNode:
             out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
                          msg_id=pkt.msg_id, ttl=pkt.ttl - 1, destinations=dests,
                          payload_bytes=pkt.payload_bytes)
-            actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
+            actions.append(Transmit(out, self.forward_jitter_max * self.rng.random()))
         return actions
 
 

@@ -17,7 +17,7 @@ from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
                           TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
-from gcnsim.protocol import ProtocolError
+from gcnsim.protocol import GcnNode, ProtocolError
 from test_golden import CASES
 
 
@@ -584,6 +584,55 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
     monkeypatch.setattr(engine_mod, "connectivity_sample", checking_sample)
     run.run()
     assert seen == [10, 20, 30, 40, 50, 60]
+
+
+# --- distance learning -----------------------------------------------------
+
+def _has_targeted_flow(sc):
+    return any(f.pattern == "targeted" for f in sc.traffic.flows)
+
+
+def _gcn_keys(*names):
+    return [f"{name}/gcn/{seed}" for name in names for seed in (0, 1)]
+
+
+class LearningNode(GcnNode):
+    """A GcnNode that learns distances whatever the run asks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "learns_distance": True})
+
+
+def _observed(run):
+    trace, report = run.run()
+    return (trace_hash(trace), report.to_scalars(),
+            [node.rng.getstate() for node in run.nodes.values()])
+
+
+@pytest.mark.parametrize("key", _gcn_keys(
+    "discovery_reach", "byte_comparison", "mobile_connectivity",
+    "resiliency_sweep", "resiliency_no_jitter", "resiliency_r5_loss50"))
+def test_a_run_without_a_targeted_flow_skips_learning_and_nothing_changes(
+        key, monkeypatch):
+    sc, seed = CASES[key]
+    assert not _has_targeted_flow(sc)
+    shipped = Run(sc, seed)
+    observed = _observed(shipped)
+    assert not any(node.distance for node in shipped.nodes.values())
+    monkeypatch.setattr(engine_mod, "GcnNode", LearningNode)
+    learning = Run(sc, seed)
+    assert _observed(learning) == observed
+    assert any(node.distance for node in learning.nodes.values())
+
+
+@pytest.mark.parametrize("key", _gcn_keys(
+    "targeted_collection", "full_matrix", "targeted_mobile", "full_matrix_mobile"))
+def test_a_run_with_a_targeted_flow_learns_at_every_node(key):
+    sc, seed = CASES[key]
+    assert _has_targeted_flow(sc)
+    run = Run(sc, seed)
+    run.run()
+    assert all(node.distance for node in run.nodes.values())
 
 
 # --- dispatch --------------------------------------------------------------

@@ -238,6 +238,20 @@ def test_distance_ignores_own_packets():
     assert node.distance_to(7) is None
 
 
+@pytest.mark.parametrize("m", [0.0, 0.001, 0.37])
+def test_forward_jitter_draws_the_bits_of_uniform_from_zero(m):
+    """GCN's `_jitter` and SMF's `send_flood` draw the delays of
+    `uniform(0.0, m)`, bit for bit, and leave the stream where it would."""
+    for seed in range(5):
+        ref = random.Random(seed)
+        want = [ref.uniform(0.0, m) for _ in range(20)]
+        gcn = make_node(seed=seed, forward_jitter_max=m)
+        smf = SmfNode(0, False, random.Random(seed), forward_jitter_max=m)
+        assert [gcn._jitter() for _ in range(20)] == want
+        assert [smf.send_flood(2, 100)[0].delay for _ in range(20)] == want
+        assert gcn.rng.getstate() == smf.rng.getstate() == ref.getstate()
+
+
 # --- targeted sends and MRD forwarding ------------------------------------
 
 def test_send_targeted_sets_mrd_from_distance():
@@ -478,7 +492,7 @@ MSG = st.tuples(IDS, st.integers(1, 3))
 DESTS = st.lists(st.tuples(IDS, st.integers(0, 4)), max_size=3)
 
 
-def _packets():
+def _packets(dests):
     discovery = st.builds(
         lambda m, hops, epoch, ttl: Packet(kind="discovery", hop_counter=hops,
                                            msg_id=m, epoch=epoch, ttl=ttl),
@@ -491,14 +505,30 @@ def _packets():
     datas = st.builds(
         lambda m, hops, dests: Packet(kind="data", hop_counter=hops, msg_id=m,
                                       destinations=dests, payload_bytes=100),
-        MSG, st.integers(0, 4), DESTS)
+        MSG, st.integers(0, 4), dests)
     return st.one_of(discovery, acks, datas)
 
 
-# a step is a reception (packet, sender, time) or one of the node's own calls
-STEPS = st.lists(st.one_of(
-    st.tuples(_packets(), IDS, st.floats(0.0, 0.2)),
-    st.sampled_from(["make_ack", "initiate", "one_to_all"])), max_size=40)
+def _steps(dests):
+    """Lists of steps: a reception (packet, sender, time), data carrying
+    destination pairs drawn from `dests`, or one of the node's own calls."""
+    return st.lists(st.one_of(
+        st.tuples(_packets(dests), IDS, st.floats(0.0, 0.2)),
+        st.sampled_from(["make_ack", "initiate", "one_to_all"])), max_size=40)
+
+
+STEPS = _steps(DESTS)
+
+
+def _apply(node, step):
+    if step == "make_ack":
+        return node.make_ack()
+    if step == "initiate":
+        return node.initiate_discovery(node.epoch)
+    if step == "one_to_all":
+        return node.send_one_to_all(100)
+    pkt, sender, now = step
+    return getattr(node, "on_" + pkt.kind)(pkt, sender, now)
 
 
 def _state(node):
@@ -517,21 +547,39 @@ def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forwar
     for node in nodes:
         node.is_relay = is_relay
     for step in steps:
-        if step == "make_ack":
-            results = [node.make_ack() for node in nodes]
-        elif step == "initiate":
-            if not is_member:
-                continue
-            results = [node.initiate_discovery(node.epoch) for node in nodes]
-        elif step == "one_to_all":
-            results = [node.send_one_to_all(100) for node in nodes]
-        else:
-            pkt, sender, now = step
-            results = [getattr(node, "on_" + pkt.kind)(pkt, sender, now)
-                       for node in nodes]
+        if step == "initiate" and not is_member:
+            continue
+        results = [_apply(node, step) for node in nodes]
         assert results[0] == results[1], step
         assert type(results[0]) is list
         assert _state(nodes[0]) == _state(nodes[1]), step
+
+
+def _without_distances(node):
+    state, rng_state = _state(node)
+    del state["distance"], state["learns_distance"]
+    return state, rng_state
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_steps(st.just([])), is_member=st.booleans(), is_relay=st.booleans(),
+       members_forward=st.booleans(), relays=st.integers(1, 3),
+       source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_a_node_that_learns_no_distances_acts_as_one_that_does(
+        steps, is_member, is_relay, members_forward, relays, source_ttl, seed):
+    """Without targeted data, no handler reads a distance: skipping the
+    table leaves every action and the rest of the state as the reference's."""
+    node = GcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
+                   members_forward_data=members_forward, learns_distance=False)
+    ref = RefGcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
+                     members_forward_data=members_forward)
+    node.is_relay = ref.is_relay = is_relay
+    for step in steps:
+        if step == "initiate" and not is_member:
+            continue
+        assert _apply(node, step) == _apply(ref, step), step
+        assert node.distance == {}
+        assert _without_distances(node) == _without_distances(ref), step
 
 
 @settings(max_examples=300, deadline=None)
