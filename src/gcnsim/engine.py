@@ -64,9 +64,22 @@ class Run:
         self.node_ids = sorted(self.positions)
         self.channel_rng = make_rng(seed, STREAM_CHANNEL)
 
+        # (flow index, sender, recipients) for every sender of every flow,
+        # resolved once: the traffic series and the nodes' learning read it
+        flows = scenario.traffic.flows
+        self._sends = [
+            (flow_idx, sender, self._resolve_dests(flow, sender))
+            for flow_idx, flow in enumerate(flows)
+            for sender in ([self.source] if flow.senders == "source"
+                           else sorted(self.members))]
+
         tm = scenario.timing
         if scenario.protocol == "gcn":
-            targeted = any(f.pattern == "targeted" for f in scenario.traffic.flows)
+            # only a targeted send and the corridors it starts read a
+            # distance, and only to a recipient the send names
+            addressed = frozenset(
+                dest for flow_idx, _, dests in self._sends
+                if flows[flow_idx].pattern == "targeted" for dest in dests)
             self.nodes = {
                 nid: GcnNode(nid, nid in self.members, scenario.source_ttl,
                              scenario.desired_relays,
@@ -75,7 +88,7 @@ class Run:
                              neighbor_count_window=tm.neighbor_count_window,
                              forward_jitter_max=tm.forward_jitter_max,
                              members_forward_data=scenario.members_forward_data,
-                             learns_distance=targeted)
+                             learns_from=addressed)
                 for nid in self.node_ids}
         else:
             self.nodes = {
@@ -154,15 +167,11 @@ class Run:
             self._push(0.0, _DISCOVER, 0)
             self._schedule(_REFRESH, 1)
         # SMF per-sender TTLs are computed lazily at send time
-        for flow_idx, flow in enumerate(sc.traffic.flows):
-            senders = ([self.source] if flow.senders == "source"
-                       else sorted(self.members))
-            for sender in senders:
-                dests = self._resolve_dests(flow, sender)
-                # a targeted sender with no one to address sends nothing; a
-                # one-to-all sender still sends in a one-member group
-                if dests or flow.pattern == "one_to_all":
-                    self._schedule(_TRAFFIC, 0, (flow_idx, sender, dests))
+        for flow_idx, sender, dests in self._sends:
+            # a targeted sender with no one to address sends nothing; a
+            # one-to-all sender still sends in a one-member group
+            if dests or sc.traffic.flows[flow_idx].pattern == "one_to_all":
+                self._schedule(_TRAFFIC, 0, (flow_idx, sender, dests))
         self._schedule(_SAMPLE, 1)
 
     def _schedule(self, kind: int, k: int, b=None, key=None) -> None:

@@ -295,21 +295,7 @@ def _dataclass_from_dict(cls, data: dict, path: str = ""):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario from its plain-dict (JSON) form.
-
-    Older files also carry the radius as `channel.tx_radius`.  It is folded
-    into the scenario's one radius when the two agree or the file has no
-    top-level radius, and rejected when they differ; `data` is not mutated.
-    """
-    channel = data.get("channel") if isinstance(data, dict) else None
-    if isinstance(channel, dict) and "tx_radius" in channel:
-        channel = dict(channel)
-        radius = channel.pop("tx_radius")
-        if data.get("tx_radius", radius) != radius:
-            raise ConfigurationError(
-                f"channel.tx_radius: {radius!r} differs from tx_radius "
-                f"{data['tx_radius']!r}; a scenario has one transmit radius")
-        data = {**data, "tx_radius": radius, "channel": channel}
+    """Build a scenario from its plain-dict (JSON) form."""
     return _dataclass_from_dict(Scenario, data)
 
 

@@ -15,14 +15,14 @@ and R the desired relay density.  Data forwarding is either one-to-all over
 the elected relays, or corridor-confined toward specific destinations using
 per-destination hop-count gradients and a maximum-retransmit-distance field.
 
-Each handler of a node that learns distances (in a run with a targeted flow,
-the only traffic that reads them) records the hop distance to the packet's
-origin (`update_distance`, the one distance rule), then returns at the first
-test that settles a copy.  `on_data` delivers once (to listed destinations;
-for one-to-all, to members), then drops a duplicate, a copy at a
-non-forwarder and a pruned corridor; `on_discovery` drops a spent TTL or a
-duplicate at a non-member, a duplicate at a member; `on_ack` drops a stale
-epoch, a relay's copy and an unelected hearer's.
+Each handler records the distance to an origin the run addresses
+(`update_distance`, the one distance rule; only targeted sends and the
+corridors they start read distances, and only to the nodes they address),
+then returns at the first test that settles a copy.  `on_data` delivers
+once (to listed destinations; for one-to-all, to members), then drops a
+duplicate, a copy at a non-forwarder and a pruned corridor; `on_discovery`
+drops a spent TTL or a duplicate at a non-member, a duplicate at a member;
+`on_ack` drops a stale epoch, a relay's copy and an unelected hearer's.
 """
 
 from __future__ import annotations
@@ -66,6 +66,19 @@ class Deliver:
     msg_id: tuple
 
 
+class _EveryOrigin:
+    """Contains every origin: a node built without a narrower scope
+    learns the distance to whatever it hears."""
+
+    __slots__ = ()
+
+    def __contains__(self, origin) -> bool:
+        return True
+
+
+EVERY_ORIGIN = _EveryOrigin()
+
+
 def ack_probability(neighbor_count: int, desired_relays: int) -> float:
     """The ACP an ACK carries: (R-1)/(N-1), clamped at 1.
 
@@ -86,7 +99,7 @@ class GcnNode:
                  neighbor_count_window: float = TimingParams.neighbor_count_window,
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
                  members_forward_data: bool = True,
-                 learns_distance: bool = True):
+                 learns_from=EVERY_ORIGIN):
         self.node_id = node_id
         self.is_member = is_member
         self.source_ttl = source_ttl
@@ -96,7 +109,9 @@ class GcnNode:
         self.neighbor_count_window = neighbor_count_window
         self.forward_jitter_max = forward_jitter_max
         self.members_forward_data = members_forward_data
-        self.learns_distance = learns_distance
+        # the origins whose hop distance some code may read; empty (falsy)
+        # in a run with no targeted flow
+        self.learns_from = learns_from
 
         # persistent state
         self.seq = 0                      # per-origin message sequence
@@ -177,7 +192,8 @@ class GcnNode:
     def on_discovery(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.epoch > self.epoch:
             self._reset_epoch(pkt.epoch)
-        if self.learns_distance:
+        learns = self.learns_from
+        if learns and pkt.msg_id[0] in learns:
             self.update_distance(pkt)
         if self.first_discovery_time is None:
             self.first_discovery_time = now
@@ -228,7 +244,8 @@ class GcnNode:
         return [Transmit(pkt, 0.0)]
 
     def on_ack(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        if self.learns_distance:
+        learns = self.learns_from
+        if learns and pkt.msg_id[0] in learns:
             self.update_distance(pkt)
         if pkt.epoch != self.epoch:
             return []
@@ -282,7 +299,8 @@ class GcnNode:
         return [Transmit(pkt, self._jitter())]
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
-        if self.learns_distance:
+        learns = self.learns_from
+        if learns and pkt.msg_id[0] in learns:
             self.update_distance(pkt)
         msg_id = pkt.msg_id
         pairs = pkt.destinations

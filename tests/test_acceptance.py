@@ -23,10 +23,10 @@ from gcnsim.analytics import (discovered_member_fraction,
                               predict_discovery_fraction)
 from gcnsim.cli import run_batch
 from gcnsim.engine import Run, run_scenario, trace_hash
+from gcnsim.geometry import bfs_hops, unit_disk_adjacency
 from gcnsim.model import MobilitySpec, TimingParams
 from gcnsim.presets import get_preset
 from gcnsim.protocol import BecomeRelay
-from gcnsim.smf import bfs_hops, unit_disk_adjacency
 
 FULL = os.environ.get("GCNSIM_FULL") == "1"
 

@@ -17,7 +17,7 @@ from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
                           TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
-from gcnsim.protocol import GcnNode, ProtocolError
+from gcnsim.protocol import EVERY_ORIGIN, GcnNode, ProtocolError
 from test_golden import CASES
 
 
@@ -588,19 +588,28 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
 
 # --- distance learning -----------------------------------------------------
 
-def _has_targeted_flow(sc):
-    return any(f.pattern == "targeted" for f in sc.traffic.flows)
-
-
-def _gcn_keys(*names):
-    return [f"{name}/gcn/{seed}" for name in names for seed in (0, 1)]
+GCN_KEYS = sorted(key for key in CASES if "/gcn/" in key)
 
 
 class LearningNode(GcnNode):
-    """A GcnNode that learns distances whatever the run asks."""
+    """A GcnNode that learns the distance to every origin it hears."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **{**kwargs, "learns_distance": True})
+        super().__init__(*args, **{**kwargs, "learns_from": EVERY_ORIGIN})
+
+
+def _addressed(run):
+    """Every node that some targeted send of the run names, read from the
+    scenario: a sender never addresses itself."""
+    addressed = set()
+    for flow in run.sc.traffic.flows:
+        if flow.pattern != "targeted":
+            continue
+        senders = [run.source] if flow.senders == "source" else run.members
+        dests = ({run.source} if flow.dests == "source"
+                 else run.members if flow.dests == "all" else flow.dests)
+        addressed |= {d for s in senders for d in dests if d != s}
+    return addressed
 
 
 def _observed(run):
@@ -609,30 +618,33 @@ def _observed(run):
             [node.rng.getstate() for node in run.nodes.values()])
 
 
-@pytest.mark.parametrize("key", _gcn_keys(
-    "discovery_reach", "byte_comparison", "mobile_connectivity",
-    "resiliency_sweep", "resiliency_no_jitter", "resiliency_r5_loss50"))
-def test_a_run_without_a_targeted_flow_skips_learning_and_nothing_changes(
+@pytest.mark.parametrize("key", GCN_KEYS)
+def test_learning_only_addressed_distances_changes_nothing_observable(
         key, monkeypatch):
+    """Nodes learn only distances to the recipients of targeted flows, the
+    only ones read; a run whose nodes learn every origin matches it in trace,
+    scalars and every protocol RNG, and its tables restricted to those
+    recipients are the shipped tables."""
     sc, seed = CASES[key]
-    assert not _has_targeted_flow(sc)
     shipped = Run(sc, seed)
+    addressed = _addressed(shipped)
+    assert all(node.learns_from == addressed for node in shipped.nodes.values())
     observed = _observed(shipped)
-    assert not any(node.distance for node in shipped.nodes.values())
     monkeypatch.setattr(engine_mod, "GcnNode", LearningNode)
     learning = Run(sc, seed)
     assert _observed(learning) == observed
     assert any(node.distance for node in learning.nodes.values())
-
-
-@pytest.mark.parametrize("key", _gcn_keys(
-    "targeted_collection", "full_matrix", "targeted_mobile", "full_matrix_mobile"))
-def test_a_run_with_a_targeted_flow_learns_at_every_node(key):
-    sc, seed = CASES[key]
-    assert _has_targeted_flow(sc)
-    run = Run(sc, seed)
-    run.run()
-    assert all(node.distance for node in run.nodes.values())
+    for nid, node in shipped.nodes.items():
+        assert node.distance == {
+            origin: entry for origin, entry in learning.nodes[nid].distance.items()
+            if origin in addressed}
+    if not addressed:
+        assert not any(node.distance for node in shipped.nodes.values())
+    if key.split("/")[0] in ("targeted_collection", "full_matrix"):
+        source = shipped.source
+        assert source in addressed
+        assert all(source in node.distance
+                   for nid, node in shipped.nodes.items() if nid != source)
 
 
 # --- dispatch --------------------------------------------------------------

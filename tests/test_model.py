@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -317,25 +318,12 @@ def test_scenario_rejects_unknown_keys():
         scenario_from_dict(data)
 
 
-def test_legacy_channel_radius_equal_to_scenario_radius_loads():
+def test_a_channel_radius_is_an_unknown_key():
+    # the transmit radius is the scenario's alone
     data = scenario_to_dict(Scenario(tx_radius=60.0))
     data["channel"]["tx_radius"] = 60.0
-    before = json.loads(json.dumps(data))
-    assert scenario_from_dict(data) == Scenario(tx_radius=60.0)
-    assert data == before  # the caller's dict is not mutated
-
-
-def test_legacy_channel_radius_is_adopted_without_a_top_level_one():
-    data = scenario_to_dict(Scenario())
-    del data["tx_radius"]
-    data["channel"]["tx_radius"] = 55.0
-    assert scenario_from_dict(data).tx_radius == 55.0
-
-
-def test_legacy_channel_radius_that_differs_is_rejected():
-    data = scenario_to_dict(Scenario(tx_radius=40.0))
-    data["channel"]["tx_radius"] = 80.0
-    with pytest.raises(ConfigurationError, match="channel.tx_radius"):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("channel: unknown keys ['tx_radius']")):
         scenario_from_dict(data)
 
 

@@ -12,12 +12,12 @@ from conftest import run_on, small_scenario
 from gcnsim.analytics import discovery_reach_set
 from gcnsim.channel import default_curve_points
 from gcnsim.engine import Run
+from gcnsim.geometry import bfs_hops, unit_disk_adjacency
 from gcnsim.model import (STREAM_PLACEMENT, ChannelSpec, ConfigurationError,
                           MobilitySpec, Position, Scenario, TimingParams,
                           TrafficFlow, TrafficSpec, make_rng,
                           uniform_disk_point, validate_scenario)
 from gcnsim.packets import DATA_BASE_HEADER_BYTES
-from gcnsim.smf import bfs_hops, unit_disk_adjacency
 
 
 # --- discovery: engine vs oracle, and TTL confinement ---------------------

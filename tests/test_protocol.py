@@ -4,7 +4,7 @@ distance tables, and MRD corridor forwarding."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_node
@@ -501,7 +501,10 @@ def _packets(dests):
         lambda m, epoch, obligate, acp: Packet(kind="ack", hop_counter=0,
                                                msg_id=m, epoch=epoch,
                                                obligate=obligate, acp=acp),
-        MSG, st.integers(0, 2), IDS, st.sampled_from([0.0, 0.3, 1.0]))
+        # biased toward election: half name the node under test as
+        # obligate, and the ACPs cover off, rarely and always
+        MSG, st.integers(0, 2), st.one_of(st.just(SELF), IDS),
+        st.sampled_from([0.0, 0.1, 1.0]))
     datas = st.builds(
         lambda m, hops, dests: Packet(kind="data", hop_counter=hops, msg_id=m,
                                       destinations=dests, payload_bytes=100),
@@ -511,10 +514,12 @@ def _packets(dests):
 
 def _steps(dests):
     """Lists of steps: a reception (packet, sender, time), data carrying
-    destination pairs drawn from `dests`, or one of the node's own calls."""
+    destination pairs drawn from `dests`, or one of the node's own calls.
+    Ten steps or more leave room for discovery, an ACK and an election."""
     return st.lists(st.one_of(
         st.tuples(_packets(dests), IDS, st.floats(0.0, 0.2)),
-        st.sampled_from(["make_ack", "initiate", "one_to_all"])), max_size=40)
+        st.sampled_from(["make_ack", "initiate", "one_to_all"])),
+        min_size=10, max_size=40)
 
 
 STEPS = _steps(DESTS)
@@ -535,6 +540,19 @@ def _state(node):
     return {k: v for k, v in vars(node).items() if k != "rng"}, node.rng.getstate()
 
 
+def _replay(node, ref, steps, is_member):
+    """Apply each step to both nodes; yield the two results and note whether
+    the reference was elected a relay, which few random lists reach."""
+    elected = False
+    for step in steps:
+        if step == "initiate" and not is_member:
+            continue
+        results = _apply(node, step), _apply(ref, step)
+        elected = elected or any(isinstance(a, BecomeRelay) for a in results[1])
+        yield step, results
+    event(f"relay elected: {elected}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(steps=STEPS, is_member=st.booleans(), is_relay=st.booleans(),
        members_forward=st.booleans(), relays=st.integers(1, 3),
@@ -546,10 +564,7 @@ def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forwar
              for cls in (GcnNode, RefGcnNode)]
     for node in nodes:
         node.is_relay = is_relay
-    for step in steps:
-        if step == "initiate" and not is_member:
-            continue
-        results = [_apply(node, step) for node in nodes]
+    for step, results in _replay(*nodes, steps, is_member):
         assert results[0] == results[1], step
         assert type(results[0]) is list
         assert _state(nodes[0]) == _state(nodes[1]), step
@@ -557,28 +572,40 @@ def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forwar
 
 def _without_distances(node):
     state, rng_state = _state(node)
-    del state["distance"], state["learns_distance"]
+    del state["distance"], state["learns_from"]
     return state, rng_state
 
 
+def _scoped_steps(learns_from):
+    """Step lists whose data names destinations only in `learns_from`."""
+    ids = sorted(learns_from)
+    dests = (st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 4)), max_size=3)
+             if ids else st.just([]))
+    return st.tuples(st.just(frozenset(ids)), _steps(dests))
+
+
 @settings(max_examples=300, deadline=None)
-@given(steps=_steps(st.just([])), is_member=st.booleans(), is_relay=st.booleans(),
+@given(scoped=st.one_of(st.just(set()), st.sets(IDS)).flatmap(_scoped_steps),
+       is_member=st.booleans(), is_relay=st.booleans(),
        members_forward=st.booleans(), relays=st.integers(1, 3),
        source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_a_node_that_learns_no_distances_acts_as_one_that_does(
-        steps, is_member, is_relay, members_forward, relays, source_ttl, seed):
-    """Without targeted data, no handler reads a distance: skipping the
-    table leaves every action and the rest of the state as the reference's."""
+def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all(
+        scoped, is_member, is_relay, members_forward, relays, source_ttl, seed):
+    """Data names destinations only from the addressed set, and no handler
+    reads any other distance: learning only those leaves every action and the
+    rest of the state as the reference's, whose table, restricted to the
+    set, is the node's.  The empty set, drawn half the time, is a run
+    without targeted data."""
+    learns_from, steps = scoped
     node = GcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
-                   members_forward_data=members_forward, learns_distance=False)
+                   members_forward_data=members_forward, learns_from=learns_from)
     ref = RefGcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
                      members_forward_data=members_forward)
     node.is_relay = ref.is_relay = is_relay
-    for step in steps:
-        if step == "initiate" and not is_member:
-            continue
-        assert _apply(node, step) == _apply(ref, step), step
-        assert node.distance == {}
+    for step, results in _replay(node, ref, steps, is_member):
+        assert results[0] == results[1], step
+        assert node.distance == {origin: entry for origin, entry in ref.distance.items()
+                                 if origin in learns_from}, step
         assert _without_distances(node) == _without_distances(ref), step
 
 

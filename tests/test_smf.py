@@ -7,10 +7,11 @@ import networkx as nx
 import pytest
 
 from conftest import line_positions, run_on
+from gcnsim.geometry import bfs_hops, unit_disk_adjacency
 from gcnsim.model import Position
 from gcnsim.packets import Packet
 from gcnsim.protocol import Deliver, Transmit
-from gcnsim.smf import SmfNode, bfs_hops, min_ttl_oracle, unit_disk_adjacency
+from gcnsim.smf import SmfNode, min_ttl_oracle
 
 
 def make_smf(node_id=0, is_member=False, seed=0):
