@@ -618,13 +618,12 @@ def _observed(run):
             [node.rng.getstate() for node in run.nodes.values()])
 
 
-@pytest.mark.parametrize("key", GCN_KEYS)
-def test_learning_only_addressed_distances_changes_nothing_observable(
-        key, monkeypatch):
+def _check_learning_only_addressed_distances(key, monkeypatch):
     """Nodes learn only distances to the recipients of targeted flows, the
     only ones read; a run whose nodes learn every origin matches it in trace,
     scalars and every protocol RNG, and its tables restricted to those
-    recipients are the shipped tables."""
+    recipients are the shipped tables.  Returns the shipped run and the
+    addressed set."""
     sc, seed = CASES[key]
     shipped = Run(sc, seed)
     addressed = _addressed(shipped)
@@ -638,13 +637,32 @@ def test_learning_only_addressed_distances_changes_nothing_observable(
         assert node.distance == {
             origin: entry for origin, entry in learning.nodes[nid].distance.items()
             if origin in addressed}
-    if not addressed:
-        assert not any(node.distance for node in shipped.nodes.values())
-    if key.split("/")[0] in ("targeted_collection", "full_matrix"):
-        source = shipped.source
-        assert source in addressed
-        assert all(source in node.distance
-                   for nid, node in shipped.nodes.items() if nid != source)
+    return shipped, addressed
+
+
+def _gcn_keys(targeted):
+    return [key for key in GCN_KEYS
+            if any(f.pattern == "targeted"
+                   for f in CASES[key][0].traffic.flows) == targeted]
+
+
+@pytest.mark.parametrize("key", _gcn_keys(targeted=False))
+def test_a_run_without_a_targeted_flow_skips_learning_and_nothing_changes(
+        key, monkeypatch):
+    shipped, addressed = _check_learning_only_addressed_distances(key, monkeypatch)
+    assert not addressed
+    assert not any(node.distance for node in shipped.nodes.values())
+
+
+@pytest.mark.parametrize("key", _gcn_keys(targeted=True))
+def test_a_run_with_a_targeted_flow_learns_at_every_node(key, monkeypatch):
+    """Each targeted flow of these cases is sent to the source, so every
+    other node learns the distance to it."""
+    shipped, addressed = _check_learning_only_addressed_distances(key, monkeypatch)
+    source = shipped.source
+    assert source in addressed
+    assert all(source in node.distance
+               for nid, node in shipped.nodes.items() if nid != source)
 
 
 # --- dispatch --------------------------------------------------------------

@@ -318,10 +318,17 @@ def test_scenario_rejects_unknown_keys():
         scenario_from_dict(data)
 
 
-def test_a_channel_radius_is_an_unknown_key():
+@pytest.mark.parametrize("top_level, channel", [
+    (60.0, 60.0),   # equal to the scenario's radius
+    (None, 55.0),   # with no top-level radius
+    (40.0, 80.0),   # differing from the scenario's radius
+], ids=["equal", "alone", "differing"])
+def test_a_channel_radius_is_an_unknown_key(top_level, channel):
     # the transmit radius is the scenario's alone
-    data = scenario_to_dict(Scenario(tx_radius=60.0))
-    data["channel"]["tx_radius"] = 60.0
+    data = scenario_to_dict(Scenario(tx_radius=top_level or Scenario().tx_radius))
+    if top_level is None:
+        del data["tx_radius"]
+    data["channel"]["tx_radius"] = channel
     with pytest.raises(ConfigurationError,
                        match=re.escape("channel: unknown keys ['tx_radius']")):
         scenario_from_dict(data)
