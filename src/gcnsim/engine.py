@@ -24,7 +24,7 @@ from .geometry import bfs_hops, unit_disk_adjacency
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, validate_scenario)
-from .packets import DATA_BASE_HEADER_BYTES
+from .packets import DATA_BASE_HEADER_BYTES, REFRESH_BYTES
 from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                        ProtocolError, SendAck, Transmit)
 from .smf import SmfNode, min_ttl_oracle
@@ -61,6 +61,7 @@ class Run:
         nodes, self.source = build_world(scenario, seed)
         self.positions = {nid: pos for nid, pos, _ in nodes}
         self.members = {nid for nid, _, flag in nodes if flag}
+        self.member_ids = sorted(self.members)
         self.node_ids = sorted(self.positions)
         self.channel_rng = make_rng(seed, STREAM_CHANNEL)
 
@@ -71,7 +72,7 @@ class Run:
             (flow_idx, sender, self._resolve_dests(flow, sender))
             for flow_idx, flow in enumerate(flows)
             for sender in ([self.source] if flow.senders == "source"
-                           else sorted(self.members))]
+                           else self.member_ids)]
 
         tm = scenario.timing
         if scenario.protocol == "gcn":
@@ -84,10 +85,7 @@ class Run:
                 nid: GcnNode(nid, nid in self.members, scenario.source_ttl,
                              scenario.desired_relays,
                              make_rng(seed, STREAM_PROTOCOL, nid),
-                             ack_delay_max=tm.ack_delay_max,
-                             neighbor_count_window=tm.neighbor_count_window,
                              forward_jitter_max=tm.forward_jitter_max,
-                             members_forward_data=scenario.members_forward_data,
                              learns_from=addressed)
                 for nid in self.node_ids}
         else:
@@ -208,7 +206,7 @@ class Run:
         if flow.dests == "source":
             dests = [self.source]
         elif flow.dests == "all":
-            dests = sorted(self.members)
+            dests = self.member_ids
         else:
             dests = flow.dests
         return [d for d in dests if d != sender]
@@ -294,8 +292,7 @@ class Run:
         if ttl is None:
             if self._mobile:
                 self._sync_positions()
-            ttl = min_ttl_oracle(self.positions, self.sc.tx_radius, self.members,
-                                 sender, adj=self._graph())
+            ttl = min_ttl_oracle(self._graph(), self.members, sender)
             self._smf_ttl_by_sender[sender] = ttl
         if ttl > self.report.smf_ttl:
             self.report.smf_ttl = ttl
@@ -338,7 +335,7 @@ class Run:
 
     def _do_refresh(self) -> None:
         actions = self.nodes[self.source].send_one_to_all(
-            self.sc.timing.refresh_bytes - DATA_BASE_HEADER_BYTES)
+            REFRESH_BYTES - DATA_BASE_HEADER_BYTES)
         self._apply_actions(self.source, actions)
 
     def _sync_positions(self) -> None:
@@ -369,7 +366,7 @@ class Run:
             self.report.connectivity_series.append((self.now, frac))
         elif self._mobile:
             adj = self._graph()
-            for s in sorted(self.members):
+            for s in self.member_ids:
                 dist = bfs_hops(adj, s)
                 ecc = max((dist[m] for m in self.members if m in dist), default=0)
                 if ecc > self._smf_ttl_by_sender.get(s, 0):

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional
 
-from .packets import DATA_BASE_HEADER_BYTES
-
 NodeId = int
 
 # Rng stream domains.  Every consumer of randomness owns exactly one stream,
@@ -55,12 +53,9 @@ def uniform_disk_point(rng: random.Random, radius: float) -> Position:
 @dataclass
 class TimingParams:
     """Protocol timing knobs; durations the wire protocol leaves open."""
-    ack_delay_max: float = 0.100
-    neighbor_count_window: float = 0.050
     forward_jitter_max: float = 0.001
     rediscovery_period: Optional[float] = None
     distance_refresh_period: Optional[float] = None
-    refresh_bytes: int = 20           # on the air, data header included
 
 
 @dataclass
@@ -117,14 +112,10 @@ class Scenario:
     seeds: list = field(default_factory=lambda: [0])
     protocol: str = "gcn"             # "gcn" | "smf"
     timing: TimingParams = field(default_factory=TimingParams)
-    # Whether group members retransmit one-to-all data like relays do.  The
-    # default mirrors the forwarding rule (relays and members both carry
-    # data); disable to restrict one-to-all forwarding to elected relays.
-    members_forward_data: bool = True
 
 
 def _non_finite(value) -> list:
-    """The paths (".timing.ack_delay_max", ".traffic.flows[0].rate") to every
+    """The paths (".timing.forward_jitter_max", ".traffic.flows[0].rate") to every
     NaN or infinite float in a dataclass, list or tuple; ints are skipped,
     as none can be either."""
     if isinstance(value, float):
@@ -194,16 +185,12 @@ def validate_scenario(sc: Scenario) -> list:
     if not (0.0 <= mob.pause_min <= mob.pause_max):
         out.append("mobility.pause_min/pause_max: need 0 <= min <= max")
     tm = sc.timing
-    for name in ("ack_delay_max", "neighbor_count_window", "forward_jitter_max"):
-        if getattr(tm, name) < 0:
-            out.append(f"timing.{name}: must be non-negative")
+    if tm.forward_jitter_max < 0:
+        out.append("timing.forward_jitter_max: must be non-negative")
     for name in ("rediscovery_period", "distance_refresh_period"):
         val = getattr(tm, name)
         if val is not None and val <= 0:
             out.append(f"timing.{name}: must be positive when set")
-    if tm.refresh_bytes < DATA_BASE_HEADER_BYTES:
-        out.append(f"timing.refresh_bytes: must be >= {DATA_BASE_HEADER_BYTES}, "
-                   "the data header")
     for i, flow in enumerate(sc.traffic.flows):
         if flow.pattern not in ("one_to_all", "targeted"):
             out.append(f"traffic.flows[{i}].pattern: must be 'one_to_all' or 'targeted'")

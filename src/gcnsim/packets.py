@@ -14,6 +14,7 @@ ACK_BYTES = 20
 DATA_BASE_HEADER_BYTES = 4
 DEST_PAIR_BYTES = 3
 SMF_TTL_HEADER_BYTES = 2
+REFRESH_BYTES = 20  # a distance-refresh message on the air, data header included
 
 MsgId = tuple  # (origin node id, per-origin sequence number)
 

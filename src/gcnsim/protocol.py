@@ -11,18 +11,20 @@ confines discovery to the group's neighborhood.  Delayed ACKs then elect
 relays: the first-heard discovery sender is named the obligate relay
 (activated unconditionally) and every other eligible hearer self-selects
 with probability (R-1)/(N-1), where N is its locally counted neighbor count
-and R the desired relay density.  Data forwarding is either one-to-all over
-the elected relays, or corridor-confined toward specific destinations using
-per-destination hop-count gradients and a maximum-retransmit-distance field.
+and R the desired relay density.  The elected relays and the group members
+forward each data message once: one-to-all always, targeted only inside the
+corridor toward its destinations, built from per-destination hop-count
+gradients and a maximum-retransmit-distance field.
 
 Each handler records the distance to an origin the run addresses
 (`update_distance`, the one distance rule; only targeted sends and the
 corridors they start read distances, and only to the nodes they address),
 then returns at the first test that settles a copy.  `on_data` delivers
 once (to listed destinations; for one-to-all, to members), then drops a
-duplicate, a copy at a non-forwarder and a pruned corridor; `on_discovery`
-drops a spent TTL or a duplicate at a non-member, a duplicate at a member;
-`on_ack` drops a stale epoch, a relay's copy and an unelected hearer's.
+duplicate, a copy at a node neither relay nor member and a pruned corridor;
+`on_discovery` drops a spent TTL or a duplicate at a non-member, a duplicate
+at a member; `on_ack` drops a stale epoch, a relay's copy and an unelected
+hearer's.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class _EveryOrigin:
 
 EVERY_ORIGIN = _EveryOrigin()
 
+ACK_DELAY_MAX = 0.100          # s; an ACK is due uniform(max / 2, max) after its cause
+NEIGHBOR_COUNT_WINDOW = 0.050  # s from the first discovery heard; its senders are N
+
 
 def ack_probability(neighbor_count: int, desired_relays: int) -> float:
     """The ACP an ACK carries: (R-1)/(N-1), clamped at 1.
@@ -95,20 +100,14 @@ class GcnNode:
 
     def __init__(self, node_id: NodeId, is_member: bool, source_ttl: int,
                  desired_relays: int, rng: random.Random,
-                 ack_delay_max: float = TimingParams.ack_delay_max,
-                 neighbor_count_window: float = TimingParams.neighbor_count_window,
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
-                 members_forward_data: bool = True,
                  learns_from=EVERY_ORIGIN):
         self.node_id = node_id
         self.is_member = is_member
         self.source_ttl = source_ttl
         self.desired_relays = desired_relays
         self.rng = rng
-        self.ack_delay_max = ack_delay_max
-        self.neighbor_count_window = neighbor_count_window
         self.forward_jitter_max = forward_jitter_max
-        self.members_forward_data = members_forward_data
         # the origins whose hop distance some code may read; empty (falsy)
         # in a run with no targeted flow
         self.learns_from = learns_from
@@ -147,7 +146,7 @@ class GcnNode:
         return self.forward_jitter_max * self.rng.random()
 
     def _ack_delay(self) -> float:
-        return self.rng.uniform(0.5 * self.ack_delay_max, self.ack_delay_max)
+        return self.rng.uniform(0.5 * ACK_DELAY_MAX, ACK_DELAY_MAX)
 
     # -- distance table ----------------------------------------------------
 
@@ -198,7 +197,7 @@ class GcnNode:
         if self.first_discovery_time is None:
             self.first_discovery_time = now
         if (self.neighbor_count_frozen is None
-                and now <= self.first_discovery_time + self.neighbor_count_window):
+                and now <= self.first_discovery_time + NEIGHBOR_COUNT_WINDOW):
             self.neighbor_senders.add(sender)
         if self.upstream is None:
             self.upstream = sender
@@ -313,19 +312,15 @@ class GcnNode:
                     deliver = True
                     pairs = [(dest, mrd) for dest, mrd in pairs if dest != node_id]
                     break
-            # corridor forwarding is done by relays and group members
-            forward = msg_id not in self.dup_cache and (self.is_relay or self.is_member)
         else:
-            # one-to-all: members deliver, the elected relay set forwards
-            deliver = self.is_member
-            forward = msg_id not in self.dup_cache and (
-                self.is_relay or (deliver and self.members_forward_data))
+            deliver = self.is_member  # one-to-all: every member
         if deliver and msg_id not in self.delivered:
             self.delivered.add(msg_id)
             actions = [Deliver(msg_id)]
         else:
             actions = []
-        if not forward:
+        # relays and members forward both kinds of data, one rule
+        if msg_id in self.dup_cache or not (self.is_relay or self.is_member):
             return actions  # duplicate, or not a forwarder
         out_pairs = []
         if pkt.destinations:  # targeted, even when this node was the only pair

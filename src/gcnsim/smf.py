@@ -7,7 +7,8 @@ from __future__ import annotations
 import random
 import warnings
 
-from .geometry import bfs_hops, unit_disk_adjacency
+# unit_disk_adjacency stays importable here: the benchmark's layer timers wrap it
+from .geometry import bfs_hops, unit_disk_adjacency  # noqa: F401
 from .model import NodeId, TimingParams
 from .packets import Packet
 from .protocol import Deliver, Transmit
@@ -56,18 +57,15 @@ class SmfNode:
 
 # --- fair-TTL oracle ------------------------------------------------------
 
-def min_ttl_oracle(positions: dict, tx_radius: float, group: set,
-                   source: NodeId, adj: dict = None) -> int:
-    """Smallest TTL letting a flood from `source` reach every group member.
+def min_ttl_oracle(adj: dict, group: set, source: NodeId) -> int:
+    """Smallest TTL letting a flood from `source` reach every group member of
+    the unit-disk graph `adj`.
 
     If part of the group is unreachable, the TTL covering the reachable
-    members is returned with a warning.  `adj` is the unit-disk graph of
-    `positions` when the caller already has it; it is built here when None.
+    members is returned with a warning.
     """
     if not group:
         raise ValueError("empty group")
-    if adj is None:
-        adj = unit_disk_adjacency(positions, tx_radius)
     dist = bfs_hops(adj, source)
     reachable = [dist[m] for m in group if m in dist]
     if len(reachable) < len(group):

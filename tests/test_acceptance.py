@@ -45,6 +45,20 @@ def mean(values):
     return sum(values) / len(values)
 
 
+def cell_means(cells: dict, seed_list: list) -> dict:
+    """Each cell's (mean delivery, mean bytes) over `seed_list`, for a dict of
+    cell -> scenario.  Every run of every cell is a job of one `run_batch`
+    call, so no worker idles while another finishes a cell's last seed."""
+    results = iter(run_batch([(sc, seed, False) for sc in cells.values()
+                              for seed in seed_list]))
+    out = {}
+    for key in cells:
+        reports = [next(results)[2] for _ in seed_list]
+        out[key] = (mean([r.delivery_rate for r in reports]),
+                    mean([r.bytes_total for r in reports]))
+    return out
+
+
 def finish(n: int, checks: list) -> None:
     """checks: list of (label, ok, detail).  Prints the one-line verdict."""
     ok = all(c[1] for c in checks)
@@ -139,17 +153,18 @@ def test_criterion_5_tunable_resiliency():
     rwp = MobilitySpec(kind="random_waypoint", speed_min=0.0, speed_max=5.0,
                        pause_min=0.0, pause_max=2.0)
 
-    def cell(R, per, mobile=False, protocol="gcn"):
-        sc = replace(base, desired_relays=R, protocol=protocol,
-                     channel=replace(base.channel, base_loss=per),
-                     mobility=rwp if mobile else base.mobility)
-        reports = batch(sc, ss)
-        return (mean([r.delivery_rate for r in reports]),
-                mean([r.bytes_total for r in reports]))
+    def scenario(R, per, mobile=False, protocol="gcn"):
+        return replace(base, desired_relays=R, protocol=protocol,
+                       channel=replace(base.channel, base_loss=per),
+                       mobility=rwp if mobile else base.mobility)
 
-    gcn = {(R, per): cell(R, per) for R in (1, 3, 5) for per in pers}
-    mob = {per: cell(5, per, mobile=True) for per in pers}
-    smf = {per: cell(1, per, protocol="smf") for per in pers}
+    cells = cell_means(
+        {**{("gcn", R, per): scenario(R, per) for R in (1, 3, 5) for per in pers},
+         **{("mobile", per): scenario(5, per, mobile=True) for per in pers},
+         **{("smf", per): scenario(1, per, protocol="smf") for per in pers}}, ss)
+    gcn = {(R, per): cells["gcn", R, per] for R in (1, 3, 5) for per in pers}
+    mob = {per: cells["mobile", per] for per in pers}
+    smf = {per: cells["smf", per] for per in pers}
 
     checks = []
     for per, want in zip(pers, (1.00, 0.71, 0.41)):
@@ -188,20 +203,20 @@ def test_criterion_6_targeted_flooding():
     rwp = MobilitySpec(kind="random_waypoint", speed_min=0.0, speed_max=5.0,
                        pause_min=0.0, pause_max=2.0)
 
-    def cell(offset, loss, mobile=False, protocol="gcn"):
-        sc = replace(base, mrd_offset=offset, protocol=protocol,
-                     channel=replace(base.channel, base_loss=loss),
-                     mobility=rwp if mobile else base.mobility)
-        reports = batch(sc, ss)
-        return (mean([r.delivery_rate for r in reports]),
-                mean([r.bytes_total for r in reports]))
+    def scenario(offset, loss, mobile=False, protocol="gcn"):
+        return replace(base, mrd_offset=offset, protocol=protocol,
+                       channel=replace(base.channel, base_loss=loss),
+                       mobility=rwp if mobile else base.mobility)
 
-    med25 = cell(0, 0.25)
-    high50 = cell(1, 0.50)
-    low25 = cell(-1, 0.25)
-    high25 = cell(1, 0.25)
-    mob = {loss: cell(1, loss, mobile=True) for loss in (0.0, 0.25, 0.50)}
-    smf25 = cell(0, 0.25, protocol="smf")
+    cells = cell_means(
+        {"med25": scenario(0, 0.25), "high50": scenario(1, 0.50),
+         "low25": scenario(-1, 0.25), "high25": scenario(1, 0.25),
+         **{("mobile", loss): scenario(1, loss, mobile=True)
+            for loss in (0.0, 0.25, 0.50)},
+         "smf25": scenario(0, 0.25, protocol="smf")}, ss)
+    med25, high50, low25, high25, smf25 = (
+        cells[k] for k in ("med25", "high50", "low25", "high25", "smf25"))
+    mob = {loss: cells["mobile", loss] for loss in (0.0, 0.25, 0.50)}
 
     checks = [
         ("static medium @25%", abs(med25[0] - 0.99) <= 0.03,
@@ -229,21 +244,22 @@ def test_criterion_7_full_matrix():
     base = get_preset("full_matrix").scenario
     ss = seeds(3)
     losses = (0.0, 0.25, 0.50)
-
-    def cell(sc):
-        reports = batch(sc, ss)
-        return (mean([r.delivery_rate for r in reports]),
-                mean([r.bytes_total for r in reports]))
-
-    gcn = {}
-    for R in (3, 6, 9):
-        for loss in losses:
-            sc = replace(base, desired_relays=R,
-                         channel=replace(base.channel, base_loss=loss))
-            gcn[(R, loss)] = cell(sc)
-    smf = {loss: cell(replace(base, protocol="smf",
-                              channel=replace(base.channel, base_loss=loss)))
-           for loss in losses}
+    sparse = replace(base, num_users=50, group_prob=0.10,
+                     channel=replace(base.channel, base_loss=0.25),
+                     mobility=MobilitySpec(kind="random_waypoint",
+                                           speed_min=0.0, speed_max=5.0,
+                                           pause_min=0.0, pause_max=2.0))
+    cells = cell_means(
+        {**{(R, loss): replace(base, desired_relays=R,
+                               channel=replace(base.channel, base_loss=loss))
+            for R in (3, 6, 9) for loss in losses},
+         **{("smf", loss): replace(base, protocol="smf",
+                                   channel=replace(base.channel, base_loss=loss))
+            for loss in losses},
+         "sparse3": replace(sparse, desired_relays=3),
+         "sparse6": replace(sparse, desired_relays=6)}, ss)
+    gcn = {(R, loss): cells[R, loss] for R in (3, 6, 9) for loss in losses}
+    smf = {loss: cells["smf", loss] for loss in losses}
 
     checks = []
     worst = min(gcn[(9, loss)][0] for loss in losses)
@@ -259,13 +275,7 @@ def test_criterion_7_full_matrix():
                       for R in (3, 6, 9) for loss in losses)
     checks.append(("(c) bytes <= flood/5 everywhere", worst_ratio <= 0.20,
                    f"worst relay/flood byte ratio {worst_ratio:.3f}"))
-    sparse = replace(base, num_users=50, group_prob=0.10,
-                     channel=replace(base.channel, base_loss=0.25),
-                     mobility=MobilitySpec(kind="random_waypoint",
-                                           speed_min=0.0, speed_max=5.0,
-                                           pause_min=0.0, pause_max=2.0))
-    d3 = mean([r.delivery_rate for r in batch(replace(sparse, desired_relays=3), ss)])
-    d6 = mean([r.delivery_rate for r in batch(replace(sparse, desired_relays=6), ss)])
+    d3, d6 = cells["sparse3"][0], cells["sparse6"][0]
     checks.append(("(d) sparse mobile low-R degradation", d3 < d6,
                    f"R=3 {d3:.3f} < R=6 {d6:.3f} (50 users, P_g=0.10, @25%)"))
     finish(7, checks)

@@ -162,7 +162,6 @@ def test_default_scenario_is_valid():
         pattern="targeted", dests=[0, 100], stop=5.0)])), "flows[0].dests"),
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
-    (dict(timing=TimingParams(refresh_bytes=-1)), "timing.refresh_bytes"),
     (dict(tx_radius=float("nan")), "tx_radius"),
     # a curve beside the default flat_per 0.0, which would win: a loss-free run
     (dict(channel=ChannelSpec(curve_points=[(0.0, 0.5), (40.0, 0.9)])),
@@ -176,8 +175,6 @@ def test_default_scenario_is_valid():
         pattern="one_to_all", dests=[3], stop=5.0)])), "flows[0].dests"),
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="one_to_all", dests="source", stop=5.0)])), "flows[0].dests"),
-    # below the 4 B data header a refresh would still put 4 B on the air
-    (dict(timing=TimingParams(refresh_bytes=1)), "timing.refresh_bytes"),
     # the source never addresses itself, so this flow would send nothing
     (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", senders="source", dests="source", stop=5.0)])),
@@ -210,7 +207,6 @@ def _flow(**kw):
     (dict(traffic=_flow(rate=NAN)), "traffic.flows[0].rate"),
     (dict(traffic=_flow(start=-INF)), "traffic.flows[0].start"),
     (dict(timing=TimingParams(forward_jitter_max=NAN)), "timing.forward_jitter_max"),
-    (dict(timing=TimingParams(ack_delay_max=INF)), "timing.ack_delay_max"),
     (dict(timing=TimingParams(rediscovery_period=NAN)), "timing.rediscovery_period"),
     (dict(timing=TimingParams(distance_refresh_period=INF)),
      "timing.distance_refresh_period"),
@@ -291,12 +287,12 @@ def test_scenario_round_trip(tmp_path):
 # sha256 of each preset's `scenario_to_dict` as sorted-key JSON; a changed
 # digest means the exported scenario files changed
 PRESET_DICT_DIGESTS = {
-    "byte_comparison": "f1b0946c5a6d5c98",
-    "discovery_reach": "4f45148b4e354425",
-    "full_matrix": "6d820979e37ac147",
-    "mobile_connectivity": "c316a5f3ff2cba66",
-    "resiliency_sweep": "911d33d822bccba0",
-    "targeted_collection": "a6e036a6747c5eda",
+    "byte_comparison": "28745a79cf1f3eec",
+    "discovery_reach": "7355932d5f357867",
+    "full_matrix": "6cfec6f746b12dcf",
+    "mobile_connectivity": "52b457bb1fdaec9b",
+    "resiliency_sweep": "161f0a8e12b2aeb5",
+    "targeted_collection": "786be0deb8ab36d7",
 }
 
 
@@ -331,6 +327,23 @@ def test_a_channel_radius_is_an_unknown_key(top_level, channel):
     data["channel"]["tx_radius"] = channel
     with pytest.raises(ConfigurationError,
                        match=re.escape("channel: unknown keys ['tx_radius']")):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "members_forward_data", True),
+    ("timing", "ack_delay_max", 0.1),
+    ("timing", "neighbor_count_window", 0.05),
+    ("timing", "refresh_bytes", 20),
+], ids=["members_forward_data", "timing.ack_delay_max",
+        "timing.neighbor_count_window", "timing.refresh_bytes"])
+def test_a_retired_key_is_an_unknown_key(section, key, value):
+    # each held one value in every preset, so each is now a constant of the
+    # program; a file that still sets one, at its old default, is refused
+    data = scenario_to_dict(Scenario())
+    (data[section] if section else data)[key] = value
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{section or 'Scenario'}: unknown keys ['{key}']")):
         scenario_from_dict(data)
 
 

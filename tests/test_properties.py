@@ -17,7 +17,6 @@ from gcnsim.model import (STREAM_PLACEMENT, ChannelSpec, ConfigurationError,
                           MobilitySpec, Position, Scenario, TimingParams,
                           TrafficFlow, TrafficSpec, make_rng,
                           uniform_disk_point, validate_scenario)
-from gcnsim.packets import DATA_BASE_HEADER_BYTES
 
 
 # --- discovery: engine vs oracle, and TTL confinement ---------------------
@@ -128,8 +127,7 @@ def _small_worlds(draw) -> Scenario:
         duration=duration,
         protocol=draw(st.sampled_from(["gcn", "smf"])),
         timing=TimingParams(rediscovery_period=draw(period),
-                            distance_refresh_period=draw(period),
-                            refresh_bytes=draw(st.integers(DATA_BASE_HEADER_BYTES, 40))))
+                            distance_refresh_period=draw(period)))
 
 
 @settings(max_examples=1000, deadline=None,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import make_node
 from gcnsim.packets import Packet
-from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
-                             ProtocolError, SendAck, Transmit,
-                             ack_probability)
+from gcnsim.protocol import (NEIGHBOR_COUNT_WINDOW, BecomeRelay, Deliver,
+                             GcnNode, NoRouteError, ProtocolError, SendAck,
+                             Transmit, ack_probability)
 from gcnsim.smf import SmfNode
 
 
@@ -113,7 +113,7 @@ def test_nonmember_budget_improvement_refires():
 
 
 def test_upstream_is_first_sender_and_neighbor_window():
-    node = make_node(node_id=5, is_member=False, neighbor_count_window=0.05)
+    node = make_node(node_id=5, is_member=False)  # the window is 0.05 s
     node.on_discovery(disc(ttl=2, seq=1), 2, now=1.00)
     node.on_discovery(disc(ttl=2, seq=2, origin=98), 3, now=1.04)
     node.on_discovery(disc(ttl=2, seq=3, origin=97), 4, now=1.10)  # late
@@ -336,7 +336,7 @@ def test_destination_forwards_remaining_pairs():
 # --- one-to-all data ------------------------------------------------------
 
 def test_one_to_all_member_delivers_once():
-    node = make_node(node_id=5, is_member=True, members_forward_data=False)
+    node = make_node(node_id=5, is_member=True)
     out = node.on_data(data(), 2, 0.0)
     assert any(isinstance(a, Deliver) for a in out)
     assert not any(isinstance(a, Deliver) for a in node.on_data(data(), 3, 0.1))
@@ -348,10 +348,8 @@ def test_one_to_all_forwarders():
     relay = make_node(node_id=6, is_member=False)
     relay.is_relay = True
     assert transmits(relay.on_data(data(), 2, 0.0))
-    member = make_node(node_id=7, is_member=True, members_forward_data=True)
+    member = make_node(node_id=7, is_member=True)
     assert transmits(member.on_data(data(), 2, 0.0))
-    quiet = make_node(node_id=8, is_member=True, members_forward_data=False)
-    assert transmits(quiet.on_data(data(), 2, 0.0)) == []
 
 
 def test_one_to_all_forwarded_at_most_once():
@@ -359,6 +357,15 @@ def test_one_to_all_forwarded_at_most_once():
     relay.is_relay = True
     assert transmits(relay.on_data(data(), 2, 0.0))
     assert transmits(relay.on_data(data(), 3, 0.1)) == []
+
+
+def test_a_member_forwards_the_first_copy_of_either_kind_of_data_once():
+    # one rule for both kinds: relays and members forward, once per message
+    member = make_node(node_id=5, is_member=True)
+    member.distance[9] = (10, 1)
+    for pkt in (data(seq=1), data(seq=2, dests=[(9, 3)])):
+        assert len(transmits(member.on_data(pkt, 2, 0.0))) == 1
+        assert transmits(member.on_data(pkt, 3, 0.1)) == []
 
 
 def test_sender_does_not_echo_its_own_message():
@@ -383,7 +390,7 @@ class RefGcnNode(GcnNode):
         if self.first_discovery_time is None:
             self.first_discovery_time = now
         if (self.neighbor_count_frozen is None
-                and now <= self.first_discovery_time + self.neighbor_count_window):
+                and now <= self.first_discovery_time + NEIGHBOR_COUNT_WINDOW):
             self.neighbor_senders.add(sender)
         if self.upstream is None:
             self.upstream = sender
@@ -446,14 +453,10 @@ class RefGcnNode(GcnNode):
             pairs = [(dest, mrd) for dest, mrd in pairs if dest != self.node_id]
         if pkt.msg_id in self.dup_cache:
             return actions
-        if one_to_all:
-            if not (self.is_relay or (self.is_member and self.members_forward_data)):
-                return actions
-            out_pairs = []
-        elif not (self.is_relay or self.is_member):
+        if not (self.is_relay or self.is_member):
             return actions
-        else:
-            out_pairs = []
+        out_pairs = []
+        if not one_to_all:
             for dest, mrd in pairs:
                 d = self.distance_to(dest)
                 if d is not None and mrd >= d:
@@ -555,12 +558,11 @@ def _replay(node, ref, steps, is_member):
 
 @settings(max_examples=300, deadline=None)
 @given(steps=STEPS, is_member=st.booleans(), is_relay=st.booleans(),
-       members_forward=st.booleans(), relays=st.integers(1, 3),
-       source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_gcn_handlers_match_reference(steps, is_member, is_relay, members_forward,
-                                      relays, source_ttl, seed):
-    nodes = [cls(SELF, is_member, source_ttl, relays, random.Random(seed),
-                 members_forward_data=members_forward)
+       relays=st.integers(1, 3), source_ttl=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_gcn_handlers_match_reference(steps, is_member, is_relay, relays,
+                                      source_ttl, seed):
+    nodes = [cls(SELF, is_member, source_ttl, relays, random.Random(seed))
              for cls in (GcnNode, RefGcnNode)]
     for node in nodes:
         node.is_relay = is_relay
@@ -587,10 +589,10 @@ def _scoped_steps(learns_from):
 @settings(max_examples=300, deadline=None)
 @given(scoped=st.one_of(st.just(set()), st.sets(IDS)).flatmap(_scoped_steps),
        is_member=st.booleans(), is_relay=st.booleans(),
-       members_forward=st.booleans(), relays=st.integers(1, 3),
-       source_ttl=st.integers(1, 3), seed=st.integers(0, 2**16))
+       relays=st.integers(1, 3), source_ttl=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
 def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all(
-        scoped, is_member, is_relay, members_forward, relays, source_ttl, seed):
+        scoped, is_member, is_relay, relays, source_ttl, seed):
     """Data names destinations only from the addressed set, and no handler
     reads any other distance: learning only those leaves every action and the
     rest of the state as the reference's, whose table, restricted to the
@@ -598,9 +600,8 @@ def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all
     without targeted data."""
     learns_from, steps = scoped
     node = GcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
-                   members_forward_data=members_forward, learns_from=learns_from)
-    ref = RefGcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
-                     members_forward_data=members_forward)
+                   learns_from=learns_from)
+    ref = RefGcnNode(SELF, is_member, source_ttl, relays, random.Random(seed))
     node.is_relay = ref.is_relay = is_relay
     for step, results in _replay(node, ref, steps, is_member):
         assert results[0] == results[1], step

@@ -98,8 +98,9 @@ def test_bfs_hops_on_a_line():
 def test_min_ttl_on_a_line():
     positions = line_positions(6, spacing=30.0)
     group = {0, 5}
-    assert min_ttl_oracle(positions, 30.0, group, source=0) == 5
-    assert min_ttl_oracle(positions, 30.0, group, source=2) == 3
+    adj = unit_disk_adjacency(positions, 30.0)
+    assert min_ttl_oracle(adj, group, source=0) == 5
+    assert min_ttl_oracle(adj, group, source=2) == 3
 
 
 def test_min_ttl_matches_independent_shortest_paths():
@@ -122,10 +123,9 @@ def test_min_ttl_matches_independent_shortest_paths():
         want = max(reachable)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = min_ttl_oracle(positions, 35.0, group, source=source)
-            prebuilt = min_ttl_oracle(positions, 35.0, group, source=source,
-                                      adj=unit_disk_adjacency(positions, 35.0))
-        assert got == prebuilt == want, f"seed {seed}"
+            got = min_ttl_oracle(unit_disk_adjacency(positions, 35.0), group,
+                                 source=source)
+        assert got == want, f"seed {seed}"
 
 
 def test_min_ttl_flood_actually_reaches_group(monkeypatch):
@@ -144,7 +144,7 @@ def test_min_ttl_flood_actually_reaches_group(monkeypatch):
         dist = bfs_hops(adj, source)
         if not all(m in dist for m in group):
             continue
-        ttl = min_ttl_oracle(positions, 30.0, group, source=source)
+        ttl = min_ttl_oracle(adj, group, source=source)
 
         def flood(t):
             """The nodes that heard a flood of budget `t` (and its source)."""
@@ -167,10 +167,11 @@ def test_min_ttl_flood_actually_reaches_group(monkeypatch):
 def test_min_ttl_disconnected_group_warns():
     positions = {0: Position(0, 0), 1: Position(10, 0), 2: Position(500, 0)}
     with pytest.warns(UserWarning, match="not connected"):
-        ttl = min_ttl_oracle(positions, 30.0, {0, 2}, source=0)
+        ttl = min_ttl_oracle(unit_disk_adjacency(positions, 30.0), {0, 2},
+                             source=0)
     assert ttl == 0  # largest reachable subset is just the source itself
 
 
 def test_min_ttl_empty_group_raises():
     with pytest.raises(ValueError):
-        min_ttl_oracle({0: Position(0, 0)}, 30.0, set(), source=0)
+        min_ttl_oracle({0: []}, set(), source=0)
