@@ -1,22 +1,24 @@
 """Deterministic discrete-event loop binding nodes, channel, mobility, and
 traffic into one simulation run.
 
-All randomness is drawn from named per-(seed, subsystem, node) streams, and
-simultaneous events are ordered by a heap key, so a run is a pure function of
-(scenario, seed): repeating it yields bit-identical traces and metrics.  Each
-push takes the next number of a sequence, and that number is its key, except
-in a periodic series (rediscovery, distance refresh, each traffic stream, the
-connectivity sample).  Only a series' first event is pushed at set-up; each
-event pushes the next one when it runs, under the key the first one got.  At
-one instant, periodic events thus run in set-up order, before anything pushed
-during the run.  A transmission's receptions run inline unless another event
-is due at the same instant, so the sequence counts heap pushes, not events.
+All randomness is drawn from named per-(seed, subsystem, node) streams (a
+node builds its protocol stream at its first draw), and simultaneous events
+are ordered by a heap key, so a run is a pure function of (scenario, seed):
+repeating it yields bit-identical traces and metrics.  Each push takes the
+next number of a sequence, and that number is its key, except in a periodic
+series (rediscovery, distance refresh, each traffic stream, the connectivity
+sample).  Only a series' first event is pushed at set-up; each event pushes
+the next one when it runs, under the key the first one got.  At one instant,
+periodic events thus run in set-up order, before anything pushed during the
+run.  A transmission's receptions run inline unless another event is due at
+the same instant, so the sequence counts heap pushes, not events.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from functools import partial
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
@@ -84,14 +86,14 @@ class Run:
             self.nodes = {
                 nid: GcnNode(nid, nid in self.members, scenario.source_ttl,
                              scenario.desired_relays,
-                             make_rng(seed, STREAM_PROTOCOL, nid),
+                             partial(make_rng, seed, STREAM_PROTOCOL, nid),
                              forward_jitter_max=tm.forward_jitter_max,
                              learns_from=addressed)
                 for nid in self.node_ids}
         else:
             self.nodes = {
                 nid: SmfNode(nid, nid in self.members,
-                             make_rng(seed, STREAM_PROTOCOL, nid),
+                             partial(make_rng, seed, STREAM_PROTOCOL, nid),
                              forward_jitter_max=tm.forward_jitter_max)
                 for nid in self.node_ids}
 
@@ -269,6 +271,8 @@ class Run:
         node = self.nodes[node_id]
         kind = pkt.kind
         if kind == "data":
+            if pkt.ttl is not None and pkt.msg_id in node.dup_cache:
+                return  # a flood copy the node holds, ignored as smf.py states
             actions = node.on_data(pkt, sender, self.now)
         elif kind == "ack":
             actions = node.on_ack(pkt, sender, self.now)

@@ -1,9 +1,9 @@
 """Per-node group-centric protocol state machine.
 
 Handlers are pure state transitions: given a received packet (and the node's
-own RNG stream for stochastic choices) they update node state and return a
-list of Actions for the event engine to execute.  The engine owns all timing;
-handlers only ever request relative delays.
+own RNG stream for stochastic choices, seeded at its first draw) they update
+node state and return a list of Actions for the event engine to execute.
+The engine owns all timing; handlers only ever request relative delays.
 
 The mechanism in brief: a group member initiates discovery with a small
 source TTL; members regenerate the TTL, non-members decrement it, which
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import NodeId, TimingParams
 from .packets import Packet
@@ -95,26 +95,46 @@ def ack_probability(neighbor_count: int, desired_relays: int) -> float:
     return min(1.0, (desired_relays - 1) / (neighbor_count - 1))
 
 
-class GcnNode:
+class ProtocolNode:
+    """What a GCN node and a flooding node share: an id, membership, a
+    message sequence, a duplicate cache and a protocol stream, which
+    `make_stream` builds at the node's first draw and never before."""
+
+    def __init__(self, node_id: NodeId, is_member: bool,
+                 make_stream: Callable[[], random.Random],
+                 forward_jitter_max: float = TimingParams.forward_jitter_max):
+        self.node_id = node_id
+        self.is_member = is_member
+        self.rng: Optional[random.Random] = None  # every draw reads `rng or _seed()`
+        self._make_stream = make_stream
+        self.forward_jitter_max = forward_jitter_max
+        self.seq = 0                   # per-origin message sequence
+        self.dup_cache: set = set()    # data msg_ids this node forwards no more
+
+    def _seed(self) -> random.Random:
+        self.rng = self._make_stream()
+        return self.rng
+
+    def _next_msg_id(self) -> tuple:
+        self.seq += 1
+        return (self.node_id, self.seq)
+
+
+class GcnNode(ProtocolNode):
     """Protocol state for one node; a run simulates one group."""
 
     def __init__(self, node_id: NodeId, is_member: bool, source_ttl: int,
-                 desired_relays: int, rng: random.Random,
+                 desired_relays: int, make_stream: Callable[[], random.Random],
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
                  learns_from=EVERY_ORIGIN):
-        self.node_id = node_id
-        self.is_member = is_member
+        super().__init__(node_id, is_member, make_stream, forward_jitter_max)
         self.source_ttl = source_ttl
         self.desired_relays = desired_relays
-        self.rng = rng
-        self.forward_jitter_max = forward_jitter_max
         # the origins whose hop distance some code may read; empty (falsy)
         # in a run with no targeted flow
         self.learns_from = learns_from
 
         # persistent state
-        self.seq = 0                      # per-origin message sequence
-        self.dup_cache: set = set()       # data msg_ids this node already forwarded
         self.disc_sent: dict = {}         # discovery msg_id -> best ttl transmitted
         self.delivered: set = set()       # msg_ids already delivered locally
         self.distance: dict = {}          # origin -> (seq, hops)
@@ -137,16 +157,13 @@ class GcnNode:
         self.acked = False
         self.transmitted_discovery = False
 
-    def _next_msg_id(self) -> tuple:
-        self.seq += 1
-        return (self.node_id, self.seq)
-
     def _jitter(self) -> float:
         # uniform(0.0, m) in one multiply: the same bits for m >= 0
-        return self.forward_jitter_max * self.rng.random()
+        return self.forward_jitter_max * (self.rng or self._seed()).random()
 
     def _ack_delay(self) -> float:
-        return self.rng.uniform(0.5 * ACK_DELAY_MAX, ACK_DELAY_MAX)
+        return (self.rng or self._seed()).uniform(0.5 * ACK_DELAY_MAX,
+                                                  ACK_DELAY_MAX)
 
     # -- distance table ----------------------------------------------------
 
@@ -257,7 +274,7 @@ class GcnNode:
         elif (self.transmitted_discovery and not self.self_select_attempted
               and pkt.acp > 0.0):
             self.self_select_attempted = True
-            if self.rng.random() < pkt.acp:
+            if (self.rng or self._seed()).random() < pkt.acp:
                 became_relay = True
         if not became_relay:
             return []

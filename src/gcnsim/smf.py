@@ -1,43 +1,34 @@
 """Flooding baseline: TTL-scoped rebroadcast with duplicate detection, and
 the oracle that picks the fair minimum TTL for group-wide reach.
+
+A node ignores every later copy of a message it holds.  The engine applies
+that rule before the handler, and `on_data` keeps its own check for direct
+callers.
 """
 
 from __future__ import annotations
 
-import random
 import warnings
 
 # unit_disk_adjacency stays importable here: the benchmark's layer timers wrap it
 from .geometry import bfs_hops, unit_disk_adjacency  # noqa: F401
-from .model import NodeId, TimingParams
+from .model import NodeId
 from .packets import Packet
-from .protocol import Deliver, Transmit
+from .protocol import Deliver, ProtocolNode, Transmit
 
 
-class SmfNode:
+class SmfNode(ProtocolNode):
     """Every node floods: first copy of a message is rebroadcast if its TTL
     permits; duplicates are dropped.  Members (or explicit destinations)
     deliver on first reception."""
-
-    def __init__(self, node_id: NodeId, is_member: bool, rng: random.Random,
-                 forward_jitter_max: float = TimingParams.forward_jitter_max):
-        self.node_id = node_id
-        self.is_member = is_member
-        self.rng = rng
-        self.forward_jitter_max = forward_jitter_max
-        self.seq = 0
-        self.dup_cache: set = set()
-
-    def _next_msg_id(self):
-        self.seq += 1
-        return (self.node_id, self.seq)
 
     def send_flood(self, ttl: int, payload_bytes: int, destinations=()) -> list:
         pkt = Packet(kind="data", hop_counter=0, msg_id=self._next_msg_id(),
                      ttl=ttl, destinations=[(d, 0) for d in destinations],
                      payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
-        return [Transmit(pkt, self.forward_jitter_max * self.rng.random())]
+        jitter = self.forward_jitter_max * (self.rng or self._seed()).random()
+        return [Transmit(pkt, jitter)]
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.msg_id in self.dup_cache:
@@ -51,7 +42,8 @@ class SmfNode:
             out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
                          msg_id=pkt.msg_id, ttl=pkt.ttl - 1, destinations=dests,
                          payload_bytes=pkt.payload_bytes)
-            actions.append(Transmit(out, self.forward_jitter_max * self.rng.random()))
+            jitter = self.forward_jitter_max * (self.rng or self._seed()).random()
+            actions.append(Transmit(out, jitter))
         return actions
 
 

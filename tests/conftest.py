@@ -6,6 +6,7 @@ after the run.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -65,7 +66,7 @@ def channel_row(run: engine_mod.Run, sender: int) -> list:
 def make_node(node_id=0, is_member=False, source_ttl=3, desired_relays=1,
               seed=0, **kwargs) -> GcnNode:
     return GcnNode(node_id, is_member, source_ttl, desired_relays,
-                   random.Random(seed), **kwargs)
+                   partial(random.Random, seed), **kwargs)
 
 
 @pytest.fixture

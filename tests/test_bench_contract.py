@@ -6,9 +6,11 @@ a recorder taking exactly five positional arguments, and counts receptions
 by replacing `Run._receive` on the instance.  This test loads the layer
 timers by path, runs one mobile GCN run, one static GCN run with one-to-all
 and targeted data and one static SMF flood under them, checks that the
-layers those runs pass through were timed, that each timed handler ran once
-per `Run._receive` call of its packet kind, and that uninstalling puts every
-original back; it changes no file under `perfbench/`.
+layers those runs pass through were timed, that each timed GCN handler ran
+once per `Run._receive` call of its packet kind and the flooding `on_data`
+once per such call of a copy the node does not yet hold (the engine drops a
+held copy before the handler), and that uninstalling puts every original
+back; it changes no file under `perfbench/`.
 """
 
 import importlib.util
@@ -30,13 +32,17 @@ def _load_layers():
 
 
 def counted_run(scenario, received: Counter):
-    """Run `scenario` on seed 0, counting `Run._receive` calls per handler."""
+    """Run `scenario` on seed 0, counting `Run._receive` calls per handler
+    that reach it: a flood copy the node already holds reaches none."""
     run = engine_mod.Run(scenario, 0)
     receive = run._receive
     layer = "protocol" if scenario.protocol == "gcn" else "smf"
 
     def counting_receive(node_id, pkt, sender):
-        received[f"{layer}.on_{pkt.kind}"] += 1
+        if layer == "protocol" or pkt.msg_id not in run.nodes[node_id].dup_cache:
+            received[f"{layer}.on_{pkt.kind}"] += 1
+        else:
+            received["smf.held"] += 1
         receive(node_id, pkt, sender)
 
     run._receive = counting_receive
@@ -81,6 +87,7 @@ def test_layer_timers_wrap_live_names():
                 "smf.on_data")
     assert {name: layers.calls[name] for name in handlers} == {
         name: received[name] for name in handlers}
+    assert received["smf.held"] > 0  # the flood heard copies it held
     for name in ("protocol.on_data", "protocol.on_discovery", "protocol.on_ack",
                  "smf.on_data",
                  "smf.min_ttl_oracle", "smf.unit_disk_adjacency", "smf.bfs_hops",

@@ -12,9 +12,9 @@ from gcnsim.analytics import build_world, connectivity_sample
 from gcnsim.engine import Run, run_scenario, trace_hash
 from gcnsim.channel import default_curve_points
 from gcnsim.mobility import advance, init_motion
-from gcnsim.model import (STREAM_MOBILITY, ChannelSpec, ConfigurationError,
-                          MobilitySpec, Scenario, TimingParams, TrafficFlow,
-                          TrafficSpec, make_rng)
+from gcnsim.model import (STREAM_MOBILITY, STREAM_PROTOCOL, ChannelSpec,
+                          ConfigurationError, MobilitySpec, Scenario,
+                          TimingParams, TrafficFlow, TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
 from gcnsim.protocol import EVERY_ORIGIN, GcnNode, ProtocolError
@@ -615,7 +615,8 @@ def _addressed(run):
 def _observed(run):
     trace, report = run.run()
     return (trace_hash(trace), report.to_scalars(),
-            [node.rng.getstate() for node in run.nodes.values()])
+            [None if node.rng is None else node.rng.getstate()
+             for node in run.nodes.values()])
 
 
 def _check_learning_only_addressed_distances(key, monkeypatch):
@@ -673,3 +674,70 @@ def test_unknown_packet_kind_is_a_protocol_error(protocol):
     beacon = Packet(kind="beacon", hop_counter=0, msg_id=(1, 1))
     with pytest.raises(ProtocolError, match="beacon"):
         run._receive(0, beacon, 1)
+
+
+class UndroppedRun(Run):
+    """A flood run whose every data copy reaches `SmfNode.on_data`, held
+    copies too: the dispatch without the engine's drop."""
+
+    def _receive(self, node_id, pkt, sender):
+        actions = self.nodes[node_id].on_data(pkt, sender, self.now)
+        if actions:
+            self._apply_actions(node_id, actions)
+
+
+def test_a_held_flood_copy_reaches_no_handler_and_dropping_it_changes_nothing(
+        monkeypatch):
+    sc = replace(PRESETS["byte_comparison"].scenario, protocol="smf")
+    calls = Counter()
+    on_data = smf_mod.SmfNode.on_data
+
+    def counting_on_data(node, pkt, sender, now):
+        calls["on_data"] += 1
+        return on_data(node, pkt, sender, now)
+
+    monkeypatch.setattr(smf_mod.SmfNode, "on_data", counting_on_data)
+    run = Run(sc, 1)
+    receive = run._receive
+
+    def counting_receive(node_id, pkt, sender):
+        calls["receive"] += 1
+        calls["held"] += pkt.msg_id in run.nodes[node_id].dup_cache
+        receive(node_id, pkt, sender)
+
+    run._receive = counting_receive
+    trace, report = run.run()
+    assert 0 < calls["held"] < calls["receive"]
+    assert calls["on_data"] == calls["receive"] - calls["held"]
+    receptions = calls["receive"]
+    calls.clear()
+    ref_trace, ref_report = UndroppedRun(sc, 1).run()
+    assert calls["on_data"] == receptions
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+
+
+# --- protocol streams ------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", ["gcn", "smf"])
+def test_seeding_every_protocol_stream_before_the_run_changes_nothing(protocol):
+    """A node builds its stream at its first draw.  Seeding every stream at
+    set-up gives the same trace and report; a stream left unbuilt would never
+    have drawn, and a built one stands where the eagerly seeded one does."""
+    sc = replace(PRESETS["byte_comparison"].scenario, protocol=protocol)
+    lazy, eager = Run(sc, 1), Run(sc, 1)
+    assert all(node.rng is None for node in lazy.nodes.values())
+    for node in eager.nodes.values():
+        node._seed()
+    (trace, report), (eager_trace, eager_report) = lazy.run(), eager.run()
+    assert trace_hash(trace) == trace_hash(eager_trace)
+    assert report.to_scalars() == eager_report.to_scalars()
+    unseeded = 0
+    for nid, node in lazy.nodes.items():
+        state = eager.nodes[nid].rng.getstate()
+        if node.rng is None:
+            unseeded += 1
+            assert state == make_rng(1, STREAM_PROTOCOL, nid).getstate(), nid
+        else:
+            assert node.rng.getstate() == state, nid
+    assert 0 < unseeded < len(lazy.nodes)

@@ -144,51 +144,55 @@ def test_default_scenario_is_valid():
         assert validate_scenario(preset.scenario) == []
 
 
-@pytest.mark.parametrize("patch,fragment", [
-    (dict(num_users=0), "num_users"),
-    (dict(group_prob=1.5), "group_prob"),
-    (dict(tx_radius=-1.0), "tx_radius"),
-    (dict(source_ttl=0), "source_ttl"),
-    (dict(desired_relays=0), "desired_relays"),
-    (dict(mrd_offset=2), "mrd_offset"),
-    (dict(duration=0.0), "duration"),
-    (dict(seeds=[]), "seeds"),
-    (dict(protocol="carrier-pigeon"), "protocol"),
-    (dict(outer_radius=10.0), "outer_radius"),
-    (dict(group_prob=0.0), "group_prob"),
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+BAD_FIELDS = {
+    "num_users_zero": (dict(num_users=0), "num_users"),
+    "group_prob_above_one": (dict(group_prob=1.5), "group_prob"),
+    "tx_radius_negative": (dict(tx_radius=-1.0), "tx_radius"),
+    "source_ttl_zero": (dict(source_ttl=0), "source_ttl"),
+    "desired_relays_zero": (dict(desired_relays=0), "desired_relays"),
+    "mrd_offset_two": (dict(mrd_offset=2), "mrd_offset"),
+    "duration_zero": (dict(duration=0.0), "duration"),
+    "seeds_empty": (dict(seeds=[]), "seeds"),
+    "protocol_unknown": (dict(protocol="carrier-pigeon"), "protocol"),
+    "outer_radius_inside_region": (dict(outer_radius=10.0), "outer_radius"),
+    "group_prob_zero": (dict(group_prob=0.0), "group_prob"),
+    "dests_a_string": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", dests="foo", stop=5.0)])), "flows[0].dests"),
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "dests_out_of_range": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", dests=[0, 100], stop=5.0)])), "flows[0].dests"),
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "payload_negative": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
-    (dict(tx_radius=float("nan")), "tx_radius"),
+    "tx_radius_nan": (dict(tx_radius=float("nan")), "tx_radius"),
     # a curve beside the default flat_per 0.0, which would win: a loss-free run
-    (dict(channel=ChannelSpec(curve_points=[(0.0, 0.5), (40.0, 0.9)])),
-     "channel.flat_per"),
+    "curve_beside_flat_per": (
+        dict(channel=ChannelSpec(curve_points=[(0.0, 0.5), (40.0, 0.9)])),
+        "channel.flat_per"),
     # a targeted flow to nobody would send data and count no recipient
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "targeted_dests_empty": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", dests=[], stop=5.0)])), "flows[0].dests"),
     # one_to_all goes to every member: other dests would be ignored, and
     # "source" would silently drop the source from the senders
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "one_to_all_dests_listed": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="one_to_all", dests=[3], stop=5.0)])), "flows[0].dests"),
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "one_to_all_dests_source": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="one_to_all", dests="source", stop=5.0)])), "flows[0].dests"),
     # the source never addresses itself, so this flow would send nothing
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "source_addresses_itself": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", senders="source", dests="source", stop=5.0)])),
-     "flows[0].dests"),
+        "flows[0].dests"),
     # a repeated id would price a second pair on every copy
-    (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+    "dests_repeated": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         pattern="targeted", senders="all_members", dests=[0, 0], stop=5.0)])),
-     "flows[0].dests"),
+        "flows[0].dests"),
     # a channel with no loss model would run loss-free apart from base_loss
-    (dict(channel=ChannelSpec(flat_per=None, curve_points=[])),
-     "channel.curve_points: must be non-empty"),
-    (dict(channel=ChannelSpec(flat_per=None, curve_points=None)),
-     "channel.curve_points: must be non-empty"),
-])
+    "curve_points_empty": (dict(channel=ChannelSpec(flat_per=None, curve_points=[])),
+                           "channel.curve_points: must be non-empty"),
+    "curve_points_none": (dict(channel=ChannelSpec(flat_per=None, curve_points=None)),
+                          "channel.curve_points: must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("patch,fragment", BAD_FIELDS.values(), ids=BAD_FIELDS)
 def test_validate_flags_bad_fields(patch, fragment):
     sc = Scenario(**patch)
     problems = validate_scenario(sc)
@@ -202,27 +206,33 @@ def _flow(**kw):
     return TrafficSpec(flows=[TrafficFlow(stop=5.0, **kw)])
 
 
-@pytest.mark.parametrize("patch,path", [
-    (dict(traffic=_flow(rate=INF)), "traffic.flows[0].rate"),
-    (dict(traffic=_flow(rate=NAN)), "traffic.flows[0].rate"),
-    (dict(traffic=_flow(start=-INF)), "traffic.flows[0].start"),
-    (dict(timing=TimingParams(forward_jitter_max=NAN)), "timing.forward_jitter_max"),
-    (dict(timing=TimingParams(rediscovery_period=NAN)), "timing.rediscovery_period"),
-    (dict(timing=TimingParams(distance_refresh_period=INF)),
-     "timing.distance_refresh_period"),
-    (dict(duration=NAN), "duration"),
-    (dict(duration=INF), "duration"),
-    (dict(region_radius=NAN), "region_radius"),
-    (dict(region_radius=INF), "region_radius"),
-    (dict(outer_radius=NAN), "outer_radius"),
-    (dict(outer_radius=INF), "outer_radius"),
-    (dict(tx_radius=NAN), "tx_radius"),
-    (dict(tx_radius=INF), "tx_radius"),
-    (dict(channel=ChannelSpec(base_loss=NAN)), "channel.base_loss"),
-    (dict(channel=ChannelSpec(flat_per=None, curve_points=[(10.0, 0.1), (INF, 0.5)])),
-     "channel.curve_points[1][0]"),
-    (dict(mobility=MobilitySpec(speed_max=INF)), "mobility.speed_max"),
-])
+NON_FINITE = {
+    "rate_inf": (dict(traffic=_flow(rate=INF)), "traffic.flows[0].rate"),
+    "rate_nan": (dict(traffic=_flow(rate=NAN)), "traffic.flows[0].rate"),
+    "start_minus_inf": (dict(traffic=_flow(start=-INF)), "traffic.flows[0].start"),
+    "forward_jitter_max_nan": (dict(timing=TimingParams(forward_jitter_max=NAN)),
+                               "timing.forward_jitter_max"),
+    "rediscovery_period_nan": (dict(timing=TimingParams(rediscovery_period=NAN)),
+                               "timing.rediscovery_period"),
+    "distance_refresh_period_inf": (dict(timing=TimingParams(distance_refresh_period=INF)),
+                                    "timing.distance_refresh_period"),
+    "duration_nan": (dict(duration=NAN), "duration"),
+    "duration_inf": (dict(duration=INF), "duration"),
+    "region_radius_nan": (dict(region_radius=NAN), "region_radius"),
+    "region_radius_inf": (dict(region_radius=INF), "region_radius"),
+    "outer_radius_nan": (dict(outer_radius=NAN), "outer_radius"),
+    "outer_radius_inf": (dict(outer_radius=INF), "outer_radius"),
+    "tx_radius_nan": (dict(tx_radius=NAN), "tx_radius"),
+    "tx_radius_inf": (dict(tx_radius=INF), "tx_radius"),
+    "base_loss_nan": (dict(channel=ChannelSpec(base_loss=NAN)), "channel.base_loss"),
+    "curve_point_distance_inf": (
+        dict(channel=ChannelSpec(flat_per=None, curve_points=[(10.0, 0.1), (INF, 0.5)])),
+        "channel.curve_points[1][0]"),
+    "speed_max_inf": (dict(mobility=MobilitySpec(speed_max=INF)), "mobility.speed_max"),
+}
+
+
+@pytest.mark.parametrize("patch,path", NON_FINITE.values(), ids=NON_FINITE)
 def test_validate_rejects_every_non_finite_number(patch, path):
     # validation alone: a scenario like these is never run
     assert f"{path}: must be finite" in validate_scenario(Scenario(**patch))

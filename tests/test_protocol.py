@@ -2,6 +2,7 @@
 distance tables, and MRD corridor forwarding."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import event, given, settings
@@ -246,10 +247,37 @@ def test_forward_jitter_draws_the_bits_of_uniform_from_zero(m):
         ref = random.Random(seed)
         want = [ref.uniform(0.0, m) for _ in range(20)]
         gcn = make_node(seed=seed, forward_jitter_max=m)
-        smf = SmfNode(0, False, random.Random(seed), forward_jitter_max=m)
+        smf = SmfNode(0, False, partial(random.Random, seed), forward_jitter_max=m)
         assert [gcn._jitter() for _ in range(20)] == want
         assert [smf.send_flood(2, 100)[0].delay for _ in range(20)] == want
         assert gcn.rng.getstate() == smf.rng.getstate() == ref.getstate()
+
+
+def test_a_node_builds_its_stream_once_at_its_first_draw():
+    """Handling a copy that draws nothing builds no stream; the first draw
+    builds it, later draws reuse it, and the numbers are the stream's own."""
+    built = []
+
+    def make_stream():
+        built.append(random.Random(11))
+        return built[-1]
+
+    gcn = GcnNode(0, False, 3, 2, make_stream, forward_jitter_max=0.01)
+    smf = SmfNode(0, False, make_stream, forward_jitter_max=0.01)
+    # a non-forwarder's copy, and a flood copy with its TTL spent
+    assert gcn.on_data(Packet(kind="data", hop_counter=0, msg_id=(9, 1)), 9, 0.0) == []
+    spent = Packet(kind="data", hop_counter=0, msg_id=(9, 1), ttl=0, payload_bytes=1)
+    assert smf.on_data(spent, 9, 0.0) == []
+    assert gcn.rng is None and smf.rng is None and built == []
+    ref = random.Random(11)
+    want = [0.01 * ref.random(), ref.uniform(0.05, 0.1), 0.01 * ref.random()]
+    assert [gcn._jitter(), gcn._ack_delay(), gcn._jitter()] == want
+    assert built == [gcn.rng] and gcn.rng.getstate() == ref.getstate()
+    ref = random.Random(11)
+    want = [0.01 * ref.random(), 0.01 * ref.random()]
+    heard = Packet(kind="data", hop_counter=0, msg_id=(9, 2), ttl=2, payload_bytes=1)
+    assert [smf.send_flood(2, 100)[0].delay, smf.on_data(heard, 9, 0.0)[-1].delay] == want
+    assert built == [gcn.rng, smf.rng] and smf.rng.getstate() == ref.getstate()
 
 
 # --- targeted sends and MRD forwarding ------------------------------------
@@ -428,7 +456,7 @@ class RefGcnNode(GcnNode):
         elif (self.transmitted_discovery and not self.self_select_attempted
               and pkt.acp > 0.0):
             self.self_select_attempted = True
-            if self.rng.random() < pkt.acp:
+            if (self.rng or self._seed()).random() < pkt.acp:
                 became_relay = True
         if not became_relay:
             return []
@@ -485,7 +513,8 @@ class RefSmfNode(SmfNode):
                          msg_id=pkt.msg_id, ttl=pkt.ttl - 1,
                          destinations=pkt.destinations,
                          payload_bytes=pkt.payload_bytes)
-            actions.append(Transmit(out, self.rng.uniform(0.0, self.forward_jitter_max)))
+            jitter = (self.rng or self._seed()).uniform(0.0, self.forward_jitter_max)
+            actions.append(Transmit(out, jitter))
         return actions
 
 
@@ -540,7 +569,10 @@ def _apply(node, step):
 
 
 def _state(node):
-    return {k: v for k, v in vars(node).items() if k != "rng"}, node.rng.getstate()
+    """The node's attributes and its stream's position, None while unseeded:
+    the stream factories differ by identity alone, so they are left out."""
+    state = {k: v for k, v in vars(node).items() if k not in ("rng", "_make_stream")}
+    return state, None if node.rng is None else node.rng.getstate()
 
 
 def _replay(node, ref, steps, is_member):
@@ -562,7 +594,7 @@ def _replay(node, ref, steps, is_member):
        seed=st.integers(0, 2**16))
 def test_gcn_handlers_match_reference(steps, is_member, is_relay, relays,
                                       source_ttl, seed):
-    nodes = [cls(SELF, is_member, source_ttl, relays, random.Random(seed))
+    nodes = [cls(SELF, is_member, source_ttl, relays, partial(random.Random, seed))
              for cls in (GcnNode, RefGcnNode)]
     for node in nodes:
         node.is_relay = is_relay
@@ -599,9 +631,9 @@ def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all
     set, is the node's.  The empty set, drawn half the time, is a run
     without targeted data."""
     learns_from, steps = scoped
-    node = GcnNode(SELF, is_member, source_ttl, relays, random.Random(seed),
+    node = GcnNode(SELF, is_member, source_ttl, relays, partial(random.Random, seed),
                    learns_from=learns_from)
-    ref = RefGcnNode(SELF, is_member, source_ttl, relays, random.Random(seed))
+    ref = RefGcnNode(SELF, is_member, source_ttl, relays, partial(random.Random, seed))
     node.is_relay = ref.is_relay = is_relay
     for step, results in _replay(node, ref, steps, is_member):
         assert results[0] == results[1], step
@@ -619,7 +651,8 @@ def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all
            MSG, st.integers(0, 4), DESTS, st.integers(0, 3)), max_size=30),
        is_member=st.booleans(), seed=st.integers(0, 2**16))
 def test_smf_on_data_matches_reference(pkts, is_member, seed):
-    nodes = [cls(SELF, is_member, random.Random(seed)) for cls in (SmfNode, RefSmfNode)]
+    nodes = [cls(SELF, is_member, partial(random.Random, seed))
+             for cls in (SmfNode, RefSmfNode)]
     for pkt in pkts:
         results = [node.on_data(pkt, 0, 0.0) for node in nodes]
         assert results[0] == results[1]

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -15,7 +16,7 @@ from gcnsim.smf import SmfNode, min_ttl_oracle
 
 
 def make_smf(node_id=0, is_member=False, seed=0):
-    return SmfNode(node_id, is_member, random.Random(seed))
+    return SmfNode(node_id, is_member, partial(random.Random, seed))
 
 
 def flood_pkt(ttl, seq=1, dests=()):
