@@ -19,7 +19,6 @@ class MetricsReport:
     seed: int = 0
     protocol: str = "gcn"
     num_members: int = 0
-    source: NodeId = 0
     delivery_per_flow: list = field(default_factory=list)  # [(delivered, expected)]
     bytes_control: int = 0
     bytes_data: int = 0
@@ -135,10 +134,7 @@ def discovered_member_fraction(sc: Scenario, seed: int) -> float:
 
 def mc_discovery_oracle(sc: Scenario, trials: int) -> float:
     """Mean discovered-member fraction over `trials` independent placements."""
-    total = 0.0
-    for seed in range(trials):
-        total += discovered_member_fraction(sc, seed)
-    return total / trials
+    return sum(discovered_member_fraction(sc, seed) for seed in range(trials)) / trials
 
 
 # --- connectivity ---------------------------------------------------------

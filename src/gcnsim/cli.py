@@ -193,8 +193,6 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
     try:
         if raw.lower() in ("none", "null"):
             value = None
-        elif isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float) or current is None:

@@ -12,6 +12,9 @@ the next one when it runs, under the key the first one got.  At one instant,
 periodic events thus run in set-up order, before anything pushed during the
 run.  A transmission's receptions run inline unless another event is due at
 the same instant, so the sequence counts heap pushes, not events.
+
+The engine reads deliveries, discovery reach and the epoch from the nodes,
+and each GCN node learns only the hop distances the run's targeted flows read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .analytics import MetricsReport, build_world, connectivity_sample
 from .geometry import bfs_hops, unit_disk_adjacency
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
-                    ConfigurationError, Scenario, make_rng, validate_scenario)
+                    ConfigurationError, Scenario, make_rng, placement_radius,
+                    validate_scenario)
 from .packets import DATA_BASE_HEADER_BYTES, REFRESH_BYTES
 from .protocol import (BecomeRelay, Deliver, GcnNode, NoRouteError,
                        ProtocolError, SendAck, Transmit)
@@ -98,15 +102,12 @@ class Run:
                 for nid in self.node_ids}
 
         self._mobile = scenario.mobility.kind == "random_waypoint"
-        self._placement_radius = (scenario.outer_radius
-                                  if scenario.outer_radius is not None
-                                  else scenario.region_radius)
         if self._mobile:
             self._tick = 0  # the mobility tick the positions stand at
             self._fleet = [  # one motion record per node, by id
                 init_motion(scenario.mobility, nid, self.positions[nid], 0.0,
                             make_rng(seed, STREAM_MOBILITY, nid),
-                            self._placement_radius)
+                            placement_radius(scenario))
                 for nid in self.node_ids]
         # Geometry state of the current positions: the unit-disk graph, built
         # at set-up in a static run and on first use after a move in a mobile
@@ -124,12 +125,12 @@ class Run:
             self._graph()
 
         self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
-                                    num_members=len(self.members), source=self.source)
-        # msg_id -> (flow index, intended recipients, already-counted recipients)
-        self._intended: dict = {}
+                                    num_members=len(self.members))
+        # msg_id -> flow index of each metered message: a node delivers a
+        # message once, and only as a recipient, so every Deliver counts
+        self._flow_of: dict = {}
         self._flow_counts = [[0, 0] for _ in scenario.traffic.flows]
-        self._discovered_members: set = set()  # epoch-0 members that heard discovery
-        self._epoch = 0
+        self._first_discovery = None  # msg_id of epoch 0's discovery
         self._smf_ttl_by_sender: dict = {}
         self._done = False
 
@@ -222,19 +223,12 @@ class Run:
             elif isinstance(act, SendAck):
                 self._push(self.now + act.delay, _ACK_DUE, node_id)
             elif isinstance(act, BecomeRelay):
-                self._record(node_id, "relay", info=self._epoch)
+                self._record(node_id, "relay", info=self.nodes[self.source].epoch)
             elif isinstance(act, Deliver):
-                self._count_delivery(node_id, act.msg_id)
-
-    def _count_delivery(self, node_id: int, msg_id) -> None:
-        entry = self._intended.get(msg_id)
-        if entry is None:
-            return  # distance-refresh or otherwise unmetered packet
-        flow_idx, intended, counted = entry
-        if node_id in intended and node_id not in counted:
-            counted.add(node_id)
-            self._flow_counts[flow_idx][0] += 1
-            self._record(node_id, "deliver", msg_id)
+                flow_idx = self._flow_of.get(act.msg_id)
+                if flow_idx is not None:  # else a distance refresh: unmetered
+                    self._flow_counts[flow_idx][0] += 1
+                    self._record(node_id, "deliver", act.msg_id)
 
     def _transmit(self, sender: int, pkt) -> None:
         nbytes = pkt.wire_bytes()
@@ -277,8 +271,6 @@ class Run:
         elif kind == "ack":
             actions = node.on_ack(pkt, sender, self.now)
         elif kind == "discovery":
-            if pkt.epoch == 0 and node_id in self.members:
-                self._discovered_members.add(node_id)
             actions = node.on_discovery(pkt, sender, self.now)
         else:
             raise ProtocolError(f"unknown packet kind {kind!r}")
@@ -322,19 +314,21 @@ class Run:
                 self.report.no_route_drops += 1
                 self._record(sender, "noroute", None, dests)
                 return
-        self._intended[actions[0].packet.msg_id] = (flow_idx, set(dests), set())
+        self._flow_of[actions[0].packet.msg_id] = flow_idx
         self._apply_actions(sender, actions)
 
     def _do_discover(self, epoch: int) -> None:
         if epoch > 0:
             self._close_epoch()
-        self._epoch = epoch
         actions = self.nodes[self.source].initiate_discovery(epoch)
+        if epoch == 0:
+            self._first_discovery = actions[0].packet.msg_id
         self._record(self.source, "discover", info=epoch)
         self._apply_actions(self.source, actions)
 
     def _close_epoch(self) -> None:
-        self.report.relays_per_epoch[self._epoch] = sum(
+        # the source's epoch is the run's: no discovery carries a newer one
+        self.report.relays_per_epoch[self.nodes[self.source].epoch] = sum(
             n.is_relay for n in self.nodes.values())
 
     def _do_refresh(self) -> None:
@@ -352,7 +346,7 @@ class Run:
         if due == self._tick:
             return
         advance(self.sc.mobility, self._fleet, self._tick / TICKS_PER_S,
-                (due - self._tick) / TICKS_PER_S, self._placement_radius,
+                (due - self._tick) / TICKS_PER_S, placement_radius(self.sc),
                 self.positions)
         self._tick = due
         # everything derived from the old positions is stale
@@ -413,10 +407,10 @@ class Run:
                 self._schedule(kind, a + 1, b, key)
         if self.sc.protocol == "gcn":
             self._close_epoch()
-            if self.members:
-                self._discovered_members.add(self.source)
-                self.report.discovered_fraction = (
-                    len(self._discovered_members) / len(self.members))
+            # a member retransmits the first copy of a discovery it hears
+            first, nodes = self._first_discovery, self.nodes
+            heard = sum(first in nodes[m].disc_sent for m in self.member_ids)
+            self.report.discovered_fraction = heard / len(self.members)
         self.report.delivery_per_flow = [tuple(c) for c in self._flow_counts]
         return self.trace, self.report
 

@@ -224,6 +224,11 @@ class ConfigurationError(ValueError):
     pass
 
 
+def placement_radius(sc: Scenario) -> float:
+    """The radius nodes are placed and move in: a two-disk layout's outer one."""
+    return sc.outer_radius if sc.outer_radius is not None else sc.region_radius
+
+
 def place_nodes(sc: Scenario, rng: random.Random):
     """Place nodes uniformly on the scenario disk and draw group membership.
 
@@ -235,8 +240,8 @@ def place_nodes(sc: Scenario, rng: random.Random):
     """
     if sc.num_users < 1:
         raise ConfigurationError("cannot place zero nodes")
-    placement_radius = sc.outer_radius if sc.outer_radius is not None else sc.region_radius
-    positions = [uniform_disk_point(rng, placement_radius) for _ in range(sc.num_users)]
+    radius = placement_radius(sc)
+    positions = [uniform_disk_point(rng, radius) for _ in range(sc.num_users)]
     inner = [p.distance_to(Position(0.0, 0.0)) <= sc.region_radius for p in positions]
     for _ in range(MAX_MEMBERSHIP_DRAWS):
         flags = [inner[i] and rng.random() < sc.group_prob for i in range(sc.num_users)]

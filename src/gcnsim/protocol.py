@@ -16,9 +16,10 @@ forward each data message once: one-to-all always, targeted only inside the
 corridor toward its destinations, built from per-destination hop-count
 gradients and a maximum-retransmit-distance field.
 
-Each handler records the distance to an origin the run addresses
-(`update_distance`, the one distance rule; only targeted sends and the
-corridors they start read distances, and only to the nodes they address),
+Each handler records the distance to an origin in the node's `learns_from`
+(`update_distance`, the one distance rule): the engine passes the nodes the
+run addresses, as only targeted sends and their corridors read distances,
+and only to those; a node built without the set learns none.  Each handler
 then returns at the first test that settles a copy.  `on_data` delivers
 once (to listed destinations; for one-to-all, to members), then drops a
 duplicate, a copy at a node neither relay nor member and a pruned corridor;
@@ -68,18 +69,6 @@ class Deliver:
     msg_id: tuple
 
 
-class _EveryOrigin:
-    """Contains every origin: a node built without a narrower scope
-    learns the distance to whatever it hears."""
-
-    __slots__ = ()
-
-    def __contains__(self, origin) -> bool:
-        return True
-
-
-EVERY_ORIGIN = _EveryOrigin()
-
 ACK_DELAY_MAX = 0.100          # s; an ACK is due uniform(max / 2, max) after its cause
 NEIGHBOR_COUNT_WINDOW = 0.050  # s from the first discovery heard; its senders are N
 
@@ -115,6 +104,10 @@ class ProtocolNode:
         self.rng = self._make_stream()
         return self.rng
 
+    def _jitter(self) -> float:
+        # uniform(0.0, m) in one multiply: the same bits for m >= 0
+        return self.forward_jitter_max * (self.rng or self._seed()).random()
+
     def _next_msg_id(self) -> tuple:
         self.seq += 1
         return (self.node_id, self.seq)
@@ -126,13 +119,11 @@ class GcnNode(ProtocolNode):
     def __init__(self, node_id: NodeId, is_member: bool, source_ttl: int,
                  desired_relays: int, make_stream: Callable[[], random.Random],
                  forward_jitter_max: float = TimingParams.forward_jitter_max,
-                 learns_from=EVERY_ORIGIN):
+                 learns_from: frozenset = frozenset()):
         super().__init__(node_id, is_member, make_stream, forward_jitter_max)
         self.source_ttl = source_ttl
         self.desired_relays = desired_relays
-        # the origins whose hop distance some code may read; empty (falsy)
-        # in a run with no targeted flow
-        self.learns_from = learns_from
+        self.learns_from = learns_from  # the origins whose distance is read
 
         # persistent state
         self.disc_sent: dict = {}         # discovery msg_id -> best ttl transmitted
@@ -156,10 +147,6 @@ class GcnNode(ProtocolNode):
         self.self_select_attempted = False
         self.acked = False
         self.transmitted_discovery = False
-
-    def _jitter(self) -> float:
-        # uniform(0.0, m) in one multiply: the same bits for m >= 0
-        return self.forward_jitter_max * (self.rng or self._seed()).random()
 
     def _ack_delay(self) -> float:
         return (self.rng or self._seed()).uniform(0.5 * ACK_DELAY_MAX,

@@ -27,8 +27,7 @@ class SmfNode(ProtocolNode):
                      ttl=ttl, destinations=[(d, 0) for d in destinations],
                      payload_bytes=payload_bytes)
         self.dup_cache.add(pkt.msg_id)
-        jitter = self.forward_jitter_max * (self.rng or self._seed()).random()
-        return [Transmit(pkt, jitter)]
+        return [Transmit(pkt, self._jitter())]
 
     def on_data(self, pkt: Packet, sender: NodeId, now: float) -> list:
         if pkt.msg_id in self.dup_cache:
@@ -42,8 +41,7 @@ class SmfNode(ProtocolNode):
             out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
                          msg_id=pkt.msg_id, ttl=pkt.ttl - 1, destinations=dests,
                          payload_bytes=pkt.payload_bytes)
-            jitter = self.forward_jitter_max * (self.rng or self._seed()).random()
-            actions.append(Transmit(out, jitter))
+            actions.append(Transmit(out, self._jitter()))
         return actions
 
 

@@ -17,7 +17,8 @@ from gcnsim.model import (STREAM_MOBILITY, STREAM_PROTOCOL, ChannelSpec,
                           TimingParams, TrafficFlow, TrafficSpec, make_rng)
 from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
-from gcnsim.protocol import EVERY_ORIGIN, GcnNode, ProtocolError
+from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, ProtocolError,
+                             SendAck, Transmit)
 from test_golden import CASES
 
 
@@ -591,11 +592,15 @@ def test_sample_at_second_j_sees_tick_10j_stepped_one_tick_at_a_time(monkeypatch
 GCN_KEYS = sorted(key for key in CASES if "/gcn/" in key)
 
 
-class LearningNode(GcnNode):
-    """A GcnNode that learns the distance to every origin it hears."""
+def _learning_node(origins):
+    """A GcnNode class whose nodes learn the distance to every one of
+    `origins`, whatever the engine passes."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **{**kwargs, "learns_from": EVERY_ORIGIN})
+    class LearningNode(GcnNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **{**kwargs, "learns_from": origins})
+
+    return LearningNode
 
 
 def _addressed(run):
@@ -630,7 +635,7 @@ def _check_learning_only_addressed_distances(key, monkeypatch):
     addressed = _addressed(shipped)
     assert all(node.learns_from == addressed for node in shipped.nodes.values())
     observed = _observed(shipped)
-    monkeypatch.setattr(engine_mod, "GcnNode", LearningNode)
+    monkeypatch.setattr(engine_mod, "GcnNode", _learning_node(frozenset(shipped.node_ids)))
     learning = Run(sc, seed)
     assert _observed(learning) == observed
     assert any(node.distance for node in learning.nodes.values())
@@ -664,6 +669,88 @@ def test_a_run_with_a_targeted_flow_learns_at_every_node(key, monkeypatch):
     assert source in addressed
     assert all(source in node.distance
                for nid, node in shipped.nodes.items() if nid != source)
+
+
+# --- facts read from the nodes ---------------------------------------------
+
+class ShadowRun(Run):
+    """The reference: the engine keeps its own copies of node state.  A
+    metered message keeps its recipients and those counted so far, and a
+    Deliver counts only from a recipient not yet counted; discovery reach is
+    the set of members that heard an epoch-0 discovery, tallied at
+    reception; the epoch is the one the engine last started.  `delivers`
+    holds (intended, first) for every metered Deliver."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recipients = {}  # msg_id -> (flow index, recipients, counted)
+        self.heard = set()
+        self.epoch = 0
+        self.delivers = []
+        self._sending = None  # (flow index, dests) while a message is sent
+
+    def _do_traffic(self, flow_idx, sender, dests):
+        self._sending = (flow_idx, dests)
+        super()._do_traffic(flow_idx, sender, dests)
+        self._sending = None
+
+    def _apply_actions(self, node_id, actions):
+        if self._sending is not None:  # the new message's own actions
+            flow_idx, dests = self._sending
+            self.recipients[actions[0].packet.msg_id] = (flow_idx, set(dests), set())
+            self._sending = None
+        for act in actions:
+            if isinstance(act, Transmit):
+                self._push(self.now + act.delay, engine_mod._TX, node_id, act.packet)
+            elif isinstance(act, SendAck):
+                self._push(self.now + act.delay, engine_mod._ACK_DUE, node_id)
+            elif isinstance(act, BecomeRelay):
+                self._record(node_id, "relay", info=self.epoch)
+            elif isinstance(act, Deliver) and act.msg_id in self.recipients:
+                flow_idx, intended, counted = self.recipients[act.msg_id]
+                first = node_id not in counted
+                self.delivers.append((node_id in intended, first))
+                if node_id in intended and first:
+                    counted.add(node_id)
+                    self._flow_counts[flow_idx][0] += 1
+                    self._record(node_id, "deliver", act.msg_id)
+
+    def _receive(self, node_id, pkt, sender):
+        if pkt.kind == "discovery" and pkt.epoch == 0 and node_id in self.members:
+            self.heard.add(node_id)
+        super()._receive(node_id, pkt, sender)
+
+    def _do_discover(self, epoch):
+        super()._do_discover(epoch)  # closes the last epoch under self.epoch
+        self.epoch = epoch
+
+    def _close_epoch(self):
+        self.report.relays_per_epoch[self.epoch] = sum(
+            n.is_relay for n in self.nodes.values())
+
+    def run(self):
+        trace, report = super().run()
+        if self.sc.protocol == "gcn":
+            report.discovered_fraction = len(self.heard | {self.source}) / len(self.members)
+        return trace, report
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_deliveries_discovery_reach_and_the_epoch_read_from_the_nodes_match_copies(key):
+    """Every metered Deliver comes from a recipient, once, so counting each
+    one is the recipient bookkeeping; the members whose `disc_sent` holds
+    epoch 0's discovery are those that heard it; the source's epoch is the
+    one the engine started.  The shadowed run reports and traces the same."""
+    sc, seed = CASES[key]
+    trace, report = Run(sc, seed).run()
+    shadow = ShadowRun(sc, seed)
+    ref_trace, ref_report = shadow.run()
+    assert all(intended and first for intended, first in shadow.delivers)
+    assert report.delivery_per_flow == ref_report.delivery_per_flow
+    assert sum(done for done, _ in report.delivery_per_flow) == len(shadow.delivers)
+    assert report.discovered_fraction == ref_report.discovered_fraction
+    assert report.relays_per_epoch == ref_report.relays_per_epoch
+    assert trace_hash(trace) == trace_hash(ref_trace)
 
 
 # --- dispatch --------------------------------------------------------------

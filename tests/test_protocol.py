@@ -520,6 +520,7 @@ class RefSmfNode(SmfNode):
 
 SELF = 3                       # the node under test; origins and dests mix it in
 IDS = st.integers(0, 5)
+EVERY_ID = frozenset(range(6))  # every origin IDS draws: a node learning from all
 MSG = st.tuples(IDS, st.integers(1, 3))
 DESTS = st.lists(st.tuples(IDS, st.integers(0, 4)), max_size=3)
 
@@ -594,7 +595,8 @@ def _replay(node, ref, steps, is_member):
        seed=st.integers(0, 2**16))
 def test_gcn_handlers_match_reference(steps, is_member, is_relay, relays,
                                       source_ttl, seed):
-    nodes = [cls(SELF, is_member, source_ttl, relays, partial(random.Random, seed))
+    nodes = [cls(SELF, is_member, source_ttl, relays, partial(random.Random, seed),
+                 learns_from=EVERY_ID)
              for cls in (GcnNode, RefGcnNode)]
     for node in nodes:
         node.is_relay = is_relay
@@ -633,7 +635,8 @@ def test_a_node_that_learns_only_addressed_distances_acts_as_one_that_learns_all
     learns_from, steps = scoped
     node = GcnNode(SELF, is_member, source_ttl, relays, partial(random.Random, seed),
                    learns_from=learns_from)
-    ref = RefGcnNode(SELF, is_member, source_ttl, relays, partial(random.Random, seed))
+    ref = RefGcnNode(SELF, is_member, source_ttl, relays, partial(random.Random, seed),
+                     learns_from=EVERY_ID)
     node.is_relay = ref.is_relay = is_relay
     for step, results in _replay(node, ref, steps, is_member):
         assert results[0] == results[1], step
