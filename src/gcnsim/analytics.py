@@ -17,7 +17,6 @@ from .model import STREAM_PLACEMENT, NodeId, Scenario, make_rng, place_nodes
 class MetricsReport:
     """Per-run results; scalar views feed the cross-seed aggregator."""
     seed: int = 0
-    protocol: str = "gcn"
     num_members: int = 0
     delivery_per_flow: list = field(default_factory=list)  # [(delivered, expected)]
     bytes_control: int = 0

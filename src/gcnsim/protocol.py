@@ -26,6 +26,15 @@ duplicate, a copy at a node neither relay nor member and a pruned corridor;
 `on_discovery` drops a spent TTL or a duplicate at a non-member, a duplicate
 at a member; `on_ack` drops a stale epoch, a relay's copy and an unelected
 hearer's.
+
+The engine drops a data copy before `on_data` when all three hold, since
+`on_data` would then return [] and change no state: its origin is not in
+`learns_from`, so no distance is learned; the node holds it in `dup_cache`
+or is neither relay nor member, so it does not forward; the node delivered
+it already or is neither a member nor in `learns_from`, so it does not
+deliver.  The last test holds because the engine passes every node that a
+targeted send names in `learns_from`, so no other node is ever a copy's
+destination.
 """
 
 from __future__ import annotations
@@ -224,8 +233,7 @@ class GcnNode(ProtocolNode):
 
     def _relay_discovery(self, pkt: Packet, ttl: int) -> Transmit:
         """Retransmit a heard discovery one hop further with budget `ttl`."""
-        out = Packet(kind="discovery", hop_counter=pkt.hop_counter + 1,
-                     msg_id=pkt.msg_id, epoch=pkt.epoch, ttl=ttl)
+        out = Packet("discovery", pkt.hop_counter + 1, pkt.msg_id, pkt.epoch, ttl)
         self.disc_sent[pkt.msg_id] = ttl
         self.transmitted_discovery = True
         return Transmit(out, self._jitter())
@@ -336,8 +344,9 @@ class GcnNode(ProtocolNode):
                 # corridor pruned: a later copy may still qualify, so the
                 # duplicate cache is left untouched
                 return actions
-        out = Packet(kind="data", hop_counter=pkt.hop_counter + 1, msg_id=msg_id,
-                     destinations=out_pairs, payload_bytes=pkt.payload_bytes)
+        # epoch 0 and no TTL: a GCN data copy carries neither
+        out = Packet("data", pkt.hop_counter + 1, msg_id, 0, None, out_pairs,
+                     pkt.payload_bytes)
         self.dup_cache.add(msg_id)
         actions.append(Transmit(out, self._jitter()))
         return actions

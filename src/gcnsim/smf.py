@@ -1,9 +1,10 @@
 """Flooding baseline: TTL-scoped rebroadcast with duplicate detection, and
 the oracle that picks the fair minimum TTL for group-wide reach.
 
-A node ignores every later copy of a message it holds.  The engine applies
-that rule before the handler, and `on_data` keeps its own check for direct
-callers.
+A node takes, delivers and forwards a message at its first copy only, so
+`on_data` returns [] for a copy it holds in `dup_cache` and changes nothing.
+The engine drops such a copy before the handler, and `on_data` keeps its own
+check for direct callers.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class SmfNode(ProtocolNode):
         is_dest = any(d == self.node_id for d, _ in dests) if dests else self.is_member
         actions = [Deliver(pkt.msg_id)] if is_dest else []
         if pkt.ttl > 0:  # else TTL spent
-            out = Packet(kind="data", hop_counter=pkt.hop_counter + 1,
-                         msg_id=pkt.msg_id, ttl=pkt.ttl - 1, destinations=dests,
-                         payload_bytes=pkt.payload_bytes)
+            out = Packet("data", pkt.hop_counter + 1, pkt.msg_id, 0, pkt.ttl - 1,
+                         dests, pkt.payload_bytes)
             actions.append(Transmit(out, self._jitter()))
         return actions
 

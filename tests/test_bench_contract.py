@@ -6,11 +6,13 @@ a recorder taking exactly five positional arguments, and counts receptions
 by replacing `Run._receive` on the instance.  This test loads the layer
 timers by path, runs one mobile GCN run, one static GCN run with one-to-all
 and targeted data and one static SMF flood under them, checks that the
-layers those runs pass through were timed, that each timed GCN handler ran
-once per `Run._receive` call of its packet kind and the flooding `on_data`
-once per such call of a copy the node does not yet hold (the engine drops a
-held copy before the handler), and that uninstalling puts every original
-back; it changes no file under `perfbench/`.
+layers those runs pass through were timed, that `on_discovery` and `on_ack`
+ran once per `Run._receive` call of their packet kind and each `on_data`
+once per such call of a copy that can still act, and that uninstalling puts
+every original back; it changes no file under `perfbench/`.  The engine
+drops a data copy that cannot act before the handler: a flood copy the node
+holds (smf.py), or a GCN copy that teaches no distance, is not forwarded and
+is not delivered (protocol.py).
 """
 
 import importlib.util
@@ -31,18 +33,32 @@ def _load_layers():
     return module
 
 
+def can_act(node, pkt) -> bool:
+    """Whether a data copy can still act at `node`, tested before it arrives:
+    for a flood, a copy of a message the node does not hold; for GCN, one
+    that teaches a distance, is forwarded or is delivered."""
+    msg_id = pkt.msg_id
+    if pkt.ttl is not None:
+        return msg_id not in node.dup_cache
+    learns = node.learns_from
+    return (msg_id[0] in learns
+            or (msg_id not in node.dup_cache and (node.is_relay or node.is_member))
+            or (msg_id not in node.delivered
+                and (node.is_member or node.node_id in learns)))
+
+
 def counted_run(scenario, received: Counter):
     """Run `scenario` on seed 0, counting `Run._receive` calls per handler
-    that reach it: a flood copy the node already holds reaches none."""
+    that reach it: a data copy that cannot act reaches none."""
     run = engine_mod.Run(scenario, 0)
     receive = run._receive
     layer = "protocol" if scenario.protocol == "gcn" else "smf"
 
     def counting_receive(node_id, pkt, sender):
-        if layer == "protocol" or pkt.msg_id not in run.nodes[node_id].dup_cache:
+        if pkt.kind != "data" or can_act(run.nodes[node_id], pkt):
             received[f"{layer}.on_{pkt.kind}"] += 1
         else:
-            received["smf.held"] += 1
+            received[f"{layer}.inert"] += 1
         receive(node_id, pkt, sender)
 
     run._receive = counting_receive
@@ -87,7 +103,8 @@ def test_layer_timers_wrap_live_names():
                 "smf.on_data")
     assert {name: layers.calls[name] for name in handlers} == {
         name: received[name] for name in handlers}
-    assert received["smf.held"] > 0  # the flood heard copies it held
+    # both protocols heard copies that could not act
+    assert received["smf.inert"] > 0 and received["protocol.inert"] > 0
     for name in ("protocol.on_data", "protocol.on_discovery", "protocol.on_ack",
                  "smf.on_data",
                  "smf.min_ttl_oracle", "smf.unit_disk_adjacency", "smf.bfs_hops",

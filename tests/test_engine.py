@@ -764,10 +764,14 @@ def test_unknown_packet_kind_is_a_protocol_error(protocol):
 
 
 class UndroppedRun(Run):
-    """A flood run whose every data copy reaches `SmfNode.on_data`, held
-    copies too: the dispatch without the engine's drop."""
+    """A run whose every data copy reaches its node's `on_data`, held flood
+    copies and GCN copies that cannot act too: the dispatch without the
+    engine's drops."""
 
     def _receive(self, node_id, pkt, sender):
+        if pkt.kind != "data":
+            super()._receive(node_id, pkt, sender)
+            return
         actions = self.nodes[node_id].on_data(pkt, sender, self.now)
         if actions:
             self._apply_actions(node_id, actions)
@@ -799,6 +803,65 @@ def test_a_held_flood_copy_reaches_no_handler_and_dropping_it_changes_nothing(
     receptions = calls["receive"]
     calls.clear()
     ref_trace, ref_report = UndroppedRun(sc, 1).run()
+    assert calls["on_data"] == receptions
+    assert trace_hash(trace) == trace_hash(ref_trace)
+    assert report.to_scalars() == ref_report.to_scalars()
+
+
+def _r5_loss50_with_targeted_from_source():
+    """The R=5 @ 50 % static cell, the source also sending targeted data to
+    every member: a member can then forward a copy that no longer names it
+    and later hear one that does, a copy only the drop rule's delivery test
+    keeps."""
+    sc, _ = CASES["resiliency_r5_loss50/gcn/0"]
+    flow = sc.traffic.flows[0]
+    targeted = replace(flow, pattern="targeted", senders="source")
+    return replace(sc, traffic=flows(flow, targeted)), 0
+
+
+@pytest.mark.parametrize("case", [
+    CASES["resiliency_r5_loss50/gcn/1"], CASES["targeted_mobile/gcn/1"],
+    _r5_loss50_with_targeted_from_source()],
+    ids=["static_r5_loss50", "mobile_targeted", "static_targeted_from_source"])
+def test_a_gcn_copy_that_cannot_act_reaches_no_handler_and_dropping_it_changes_nothing(
+        case, monkeypatch):
+    """Every GCN data copy the engine drops, handed to `on_data` where it
+    fell, returns no action and changes neither the duplicate cache, the
+    deliveries nor the distance table; a run that hands every copy to
+    `on_data` traces and reports the same."""
+    sc, seed = case
+    calls = Counter()
+    on_data = GcnNode.on_data
+
+    def counting_on_data(node, pkt, sender, now):
+        calls["on_data"] += 1
+        return on_data(node, pkt, sender, now)
+
+    monkeypatch.setattr(GcnNode, "on_data", counting_on_data)
+    run = Run(sc, seed)
+    receive = run._receive
+
+    def checking_receive(node_id, pkt, sender):
+        if pkt.kind != "data":
+            receive(node_id, pkt, sender)
+            return
+        calls["receive"] += 1
+        reached = calls["on_data"]
+        receive(node_id, pkt, sender)
+        if calls["on_data"] == reached:  # the engine dropped it
+            calls["dropped"] += 1
+            node = run.nodes[node_id]
+            state = (set(node.dup_cache), set(node.delivered), dict(node.distance))
+            assert on_data(node, pkt, sender, run.now) == [], (node_id, pkt)
+            assert (node.dup_cache, node.delivered, node.distance) == state, (
+                node_id, pkt)
+
+    run._receive = checking_receive
+    trace, report = run.run()
+    assert 0 < calls["dropped"] < calls["receive"]
+    receptions = calls["receive"]
+    calls.clear()
+    ref_trace, ref_report = UndroppedRun(sc, seed).run()
     assert calls["on_data"] == receptions
     assert trace_hash(trace) == trace_hash(ref_trace)
     assert report.to_scalars() == ref_report.to_scalars()
