@@ -6,12 +6,13 @@ node builds its protocol stream at its first draw), and simultaneous events
 are ordered by a heap key, so a run is a pure function of (scenario, seed):
 repeating it yields bit-identical traces and metrics.  Each push takes the
 next number of a sequence, and that number is its key, except in a periodic
-series (rediscovery, distance refresh, each traffic stream, the connectivity
-sample).  Only a series' first event is pushed at set-up; each event pushes
-the next one when it runs, under the key the first one got.  At one instant,
-periodic events thus run in set-up order, before anything pushed during the
-run.  A transmission's receptions run inline unless another event is due at
-the same instant, so the sequence counts heap pushes, not events.
+series (rediscovery, distance refresh, each traffic stream, and the
+connectivity sample, which only a GCN run takes).  Only a series' first
+event is pushed at set-up; each event pushes the next one when it runs,
+under the key the first one got.  At one instant, periodic events thus run
+in set-up order, before anything pushed during the run.  A transmission's
+receptions run inline unless another event is due at the same instant, so
+the sequence counts heap pushes, not events.
 
 The engine reads deliveries, discovery reach and the epoch from the nodes,
 and each GCN node learns only the hop distances the run's targeted flows read.
@@ -25,7 +26,8 @@ from functools import partial
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
-from .geometry import bfs_hops, unit_disk_adjacency
+# bfs_hops is re-exported: the benchmark's layer timers wrap it here
+from .geometry import bfs_hops, unit_disk_adjacency  # noqa: F401
 from .mobility import advance, init_motion
 from .model import (STREAM_CHANNEL, STREAM_MOBILITY, STREAM_PROTOCOL,
                     ConfigurationError, Scenario, make_rng, placement_radius,
@@ -113,13 +115,14 @@ class Run:
         # at set-up in a static run and on first use after a move in a mobile
         # one.  A flat channel's one PER is priced here and samples the
         # graph's rows; only a curve prices pairs, into sender -> [(neighbour
-        # id, per)], a row built when the sender first transmits.
-        # `_sync_positions` drops the graph and the rows together.  Plain
-        # attributes, not cached properties: reading `__dict__` would slow
-        # every attribute read for the rest of the run
+        # id, per)], a row built when the sender first transmits; a flood
+        # sender's TTL, when it first sends.  `_sync_positions` drops all
+        # three together.  Plain attributes, not cached properties: reading
+        # `__dict__` would slow every attribute read for the rest of the run
         spec = scenario.channel
         self._flat_per = None if spec.flat_per is None else channel_mod.per_at(spec, 0.0)
         self._priced_rows: dict = {}
+        self._smf_ttl_by_sender: dict = {}
         self._unit_disk = None
         if not self._mobile:
             self._graph()
@@ -130,7 +133,6 @@ class Run:
         self._flow_of: dict = {}
         self._flow_counts = [[0, 0] for _ in scenario.traffic.flows]
         self._first_discovery = None  # msg_id of epoch 0's discovery
-        self._smf_ttl_by_sender: dict = {}
         self._done = False
 
     # -- setup -------------------------------------------------------------
@@ -166,13 +168,13 @@ class Run:
         if sc.protocol == "gcn":
             self._push(0.0, _DISCOVER, 0)
             self._schedule(_REFRESH, 1)
-        # SMF per-sender TTLs are computed lazily at send time
         for flow_idx, sender, dests in self._sends:
             # a targeted sender with no one to address sends nothing; a
             # one-to-all sender still sends in a one-member group
             if dests or sc.traffic.flows[flow_idx].pattern == "one_to_all":
                 self._schedule(_TRAFFIC, 0, (flow_idx, sender, dests))
-        self._schedule(_SAMPLE, 1)
+        if sc.protocol == "gcn":  # a flood run samples nothing
+            self._schedule(_SAMPLE, 1)
 
     def _schedule(self, kind: int, k: int, b=None, key=None) -> None:
         """Push event `k` of a periodic series, if it falls in the run.  Every
@@ -272,7 +274,8 @@ class Run:
                   and (msg_id in node.dup_cache
                        or not (node.is_relay or node.is_member))
                   and (msg_id in node.delivered
-                       or not (node.is_member or node_id in node.learns_from))):
+                       or not (node_id in node.learns_from if pkt.destinations
+                               else node.is_member))):
                 return  # a GCN copy that can no longer act, as protocol.py states
             actions = node.on_data(pkt, sender, self.now)
         elif kind == "ack":
@@ -285,21 +288,15 @@ class Run:
             self._apply_actions(node_id, actions)
 
     def _smf_ttl_for(self, sender: int) -> int:
-        """Flood TTL for this sender, cached per sender: the hop count of the
-        farthest member it reaches on the graph as it stands when first asked.
-
-        A static run's value is exact.  In a mobile run `_do_sample` also
-        raises each member's cached value once a second, to the hop count of
-        the farthest member it then reaches, and never lowers it.  Nodes
-        move every tick in between, so a send can carry fewer hops than the
-        graph at send time needs, or more.
-        """
+        """Flood TTL for this sender: the hop count of the farthest member it
+        reaches on the graph as it stands at send time, cached per sender
+        until the next move."""
+        if self._mobile:
+            self._sync_positions()
         ttl = self._smf_ttl_by_sender.get(sender)
         if ttl is None:
-            if self._mobile:
-                self._sync_positions()
-            ttl = min_ttl_oracle(self._graph(), self.members, sender)
-            self._smf_ttl_by_sender[sender] = ttl
+            ttl = self._smf_ttl_by_sender[sender] = min_ttl_oracle(
+                self._graph(), self.members, sender)
         if ttl > self.report.smf_ttl:
             self.report.smf_ttl = ttl
         return ttl
@@ -361,24 +358,17 @@ class Run:
         self._tick = due
         # everything derived from the old positions is stale
         self._priced_rows.clear()
+        self._smf_ttl_by_sender.clear()
         self._unit_disk = None
 
     def _do_sample(self) -> None:
         if self._mobile:
             self._sync_positions()
-        if self.sc.protocol == "gcn":
-            active = {nid for nid, node in self.nodes.items()
-                      if node.is_relay} | self.members
-            frac = connectivity_sample(self.positions, self.sc.tx_radius,
-                                       active, self.source, self.members)
-            self.report.connectivity_series.append((self.now, frac))
-        elif self._mobile:
-            adj = self._graph()
-            for s in self.member_ids:
-                dist = bfs_hops(adj, s)
-                ecc = max((dist[m] for m in self.members if m in dist), default=0)
-                if ecc > self._smf_ttl_by_sender.get(s, 0):
-                    self._smf_ttl_by_sender[s] = ecc
+        active = {nid for nid, node in self.nodes.items()
+                  if node.is_relay} | self.members
+        frac = connectivity_sample(self.positions, self.sc.tx_radius,
+                                   active, self.source, self.members)
+        self.report.connectivity_series.append((self.now, frac))
 
     # -- main loop ---------------------------------------------------------
 

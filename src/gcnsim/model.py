@@ -134,8 +134,16 @@ def validate_scenario(sc: Scenario) -> list:
     """Return a list of human-readable invariant violations (empty = valid).
 
     Every number must be finite: JSON and `--values` both accept NaN and
-    infinity, and a flow rate of either would never finish scheduling."""
+    infinity, and a flow rate of either would never finish scheduling.  A
+    count, a seed or a byte size must be an int, not a float or a bool."""
     out = [f"{path[1:]}: must be finite" for path in _non_finite(sc)]
+    counts = [(name, getattr(sc, name)) for name in
+              ("num_users", "source_ttl", "desired_relays", "mrd_offset")]
+    counts += [(f"seeds[{i}]", seed) for i, seed in enumerate(sc.seeds)]
+    counts += [(f"traffic.flows[{i}].payload_bytes", flow.payload_bytes)
+               for i, flow in enumerate(sc.traffic.flows)]
+    out += [f"{name}: must be an integer" for name, value in counts
+            if type(value) is not int]
     if sc.num_users < 1:
         out.append("num_users: must be >= 1")
     if not (0.0 < sc.group_prob <= 1.0):

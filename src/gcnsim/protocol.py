@@ -31,10 +31,10 @@ The engine drops a data copy before `on_data` when all three hold, since
 `on_data` would then return [] and change no state: its origin is not in
 `learns_from`, so no distance is learned; the node holds it in `dup_cache`
 or is neither relay nor member, so it does not forward; the node delivered
-it already or is neither a member nor in `learns_from`, so it does not
-deliver.  The last test holds because the engine passes every node that a
-targeted send names in `learns_from`, so no other node is ever a copy's
-destination.
+it already, or is not in `learns_from` (a targeted copy) or no member (a
+one-to-all copy), so it does not deliver.  The targeted test holds because
+the engine passes every node a targeted send names in `learns_from`, so no
+other node is ever a targeted copy's destination.
 """
 
 from __future__ import annotations

@@ -48,11 +48,11 @@ class SmfNode(ProtocolNode):
 # --- fair-TTL oracle ------------------------------------------------------
 
 def min_ttl_oracle(adj: dict, group: set, source: NodeId) -> int:
-    """Smallest TTL letting a flood from `source` reach every group member of
-    the unit-disk graph `adj`.
-
-    If part of the group is unreachable, the TTL covering the reachable
-    members is returned with a warning.
+    """The TTL covering every group member on the unit-disk graph `adj` from
+    `source`: the group's hop eccentricity.  With forwarding jitter, a copy
+    that came the long way can still arrive first, with less TTL left, and
+    starve a member.  If part of the group is unreachable, the TTL covering
+    the reachable members is returned with a warning.
     """
     if not group:
         raise ValueError("empty group")

@@ -44,7 +44,8 @@ def can_act(node, pkt) -> bool:
     return (msg_id[0] in learns
             or (msg_id not in node.dup_cache and (node.is_relay or node.is_member))
             or (msg_id not in node.delivered
-                and (node.is_member or node.node_id in learns)))
+                and (node.node_id in learns if pkt.destinations
+                     else node.is_member)))
 
 
 def counted_run(scenario, received: Counter):

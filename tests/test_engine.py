@@ -1,8 +1,10 @@
 """Event engine: determinism, byte accounting, scheduling, and reporting."""
 
+import warnings
 from collections import Counter
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 
 import gcnsim.engine as engine_mod
@@ -231,14 +233,13 @@ def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
     # are the flat channel's rows, and it gives the flood's TTL oracle its
     # hop counts
     built = []
-    real = smf_mod.unit_disk_adjacency
+    real = engine_mod.unit_disk_adjacency
 
     def counting(positions, tx_radius):
         built.append(len(positions))
         return real(positions, tx_radius)
 
     monkeypatch.setattr(engine_mod, "unit_disk_adjacency", counting)
-    monkeypatch.setattr(smf_mod, "unit_disk_adjacency", counting)
     for protocol in ("gcn", "smf"):
         built.clear()
         sc = small_scenario(protocol=protocol, traffic=flows(
@@ -251,27 +252,85 @@ def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
 
 
 def test_mobile_flood_builds_one_graph_per_tick(monkeypatch):
-    # the channel rows, the flood-TTL oracle and the sample of one tick
-    # share one graph, built on the first read after a move
+    # the flood-TTL oracle and the channel rows of one tick share one graph,
+    # built by the first send or transmission after a move; a flood run
+    # takes no connectivity sample
     sc = small_scenario(
         protocol="smf", duration=4.0,
         mobility=MobilitySpec(kind="random_waypoint", speed_min=1.0,
                               speed_max=5.0, pause_min=0.0, pause_max=0.5),
         traffic=flows(one_to_all_flow(senders="all_members", start=1.0, stop=3.0)))
     run = Run(sc, 0)
-    real, ticks = smf_mod.unit_disk_adjacency, []
+    real, ticks, built_at = engine_mod.unit_disk_adjacency, [], set()
 
     def counting(positions, tx_radius):
         ticks.append(run._tick)
+        built_at.add(run.now)
         return real(positions, tx_radius)
 
+    def no_sample(*args):
+        raise AssertionError("a flood run sampled connectivity")
+
     monkeypatch.setattr(engine_mod, "unit_disk_adjacency", counting)
-    monkeypatch.setattr(smf_mod, "unit_disk_adjacency", counting)
-    run.run()
-    assert run.report.smf_ttl >= 1
+    monkeypatch.setattr(engine_mod, "connectivity_sample", no_sample)
+    trace, report = run.run()
+    assert report.smf_ttl >= 1 and report.connectivity_series == []
     assert ticks == sorted(set(ticks))  # no tick builds two graphs
-    assert {10, 20, 30, 40} <= set(ticks)  # every sample reads one
-    assert len(ticks) > 4  # transmissions between samples build them too
+    # each send's oracle builds its tick's graph, and the transmissions of
+    # the floods, all within that tick, reuse it
+    assert ticks == [10, 15, 20, 25]
+    assert built_at == {1.0, 1.5, 2.0, 2.5}
+    assert len(tx_records(trace, "data")) > len(ticks)
+
+
+def test_every_mobile_flood_send_carries_the_hop_eccentricity_at_that_instant(
+        monkeypatch):
+    """Each send's TTL is the hop count from its sender to the farthest
+    member it reaches, on the unit-disk graph of the positions at the send's
+    instant: positions stepped tick by tick here, hops counted by networkx."""
+    sc = small_scenario(
+        protocol="smf", duration=8.0, region_radius=90.0, tx_radius=30.0,
+        num_users=40,
+        mobility=MobilitySpec(kind="random_waypoint", speed_min=5.0,
+                              speed_max=15.0, pause_min=0.0, pause_max=0.5),
+        traffic=flows(one_to_all_flow(senders="all_members", rate=4.0,
+                                      start=0.5, stop=7.5)))
+    sends = []
+    send_flood = smf_mod.SmfNode.send_flood
+
+    def recording_send(node, ttl, *args, **kwargs):
+        sends.append((run.now, node.node_id, ttl))
+        return send_flood(node, ttl, *args, **kwargs)
+
+    monkeypatch.setattr(smf_mod.SmfNode, "send_flood", recording_send)
+    run = Run(sc, 0)
+    members = set(run.members)
+    fleet = [init_motion(sc.mobility, nid, run.positions[nid], 0.0,
+                         make_rng(0, STREAM_MOBILITY, nid), sc.region_radius)
+             for nid in run.node_ids]
+    positions = dict(run.positions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the oracle warns on a split group
+        run.run()
+    assert len(members) > 2 and len(sends) > 100
+    tick, changed, split = 0, set(), 0
+    for now, sender, ttl in sends:
+        while (tick + 1) / engine_mod.TICKS_PER_S <= now:
+            advance(sc.mobility, fleet, tick / engine_mod.TICKS_PER_S,
+                    1 / engine_mod.TICKS_PER_S, sc.region_radius, positions)
+            tick += 1
+        graph = nx.Graph()
+        graph.add_nodes_from(positions)
+        graph.add_edges_from(
+            (a, b) for a in positions for b in positions
+            if a < b and positions[a].distance_to(positions[b]) <= sc.tx_radius)
+        hops = nx.single_source_shortest_path_length(graph, sender)
+        assert ttl == max(hops[m] for m in members if m in hops), (now, sender)
+        changed.add((sender, ttl))
+        split += not members <= hops.keys()
+    # the eccentricities moved under the fleet, so a first-send value fails,
+    # and at some sends the group was split: the TTL covered those reached
+    assert len(changed) > len(members) and split > 0
 
 
 # --- inline delivery -----------------------------------------------------
@@ -389,8 +448,9 @@ class PreScheduledRun(Run):
                         break
                     self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender, dests))
                     k += 1
-        for k in range(1, int(sc.duration // engine_mod.SAMPLE_PERIOD) + 1):
-            self._push(k * engine_mod.SAMPLE_PERIOD, engine_mod._SAMPLE, k)
+        if sc.protocol == "gcn":  # a flood run samples nothing
+            for k in range(1, int(sc.duration // engine_mod.SAMPLE_PERIOD) + 1):
+                self._push(k * engine_mod.SAMPLE_PERIOD, engine_mod._SAMPLE, k)
 
     def _schedule(self, kind, k, b=None, key=None):
         pass  # every periodic event is on the heap already

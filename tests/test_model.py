@@ -189,6 +189,25 @@ BAD_FIELDS = {
                            "channel.curve_points: must be non-empty"),
     "curve_points_none": (dict(channel=ChannelSpec(flat_per=None, curve_points=None)),
                           "channel.curve_points: must be non-empty"),
+    # a float count or size would run, or fail only later, in `range()`
+    "num_users_float": (dict(num_users=30.0), "num_users: must be an integer"),
+    "num_users_bool": (dict(num_users=True), "num_users: must be an integer"),
+    "source_ttl_float": (dict(source_ttl=2.5), "source_ttl: must be an integer"),
+    "source_ttl_bool": (dict(source_ttl=True), "source_ttl: must be an integer"),
+    "desired_relays_float": (dict(desired_relays=2.0),
+                             "desired_relays: must be an integer"),
+    "desired_relays_bool": (dict(desired_relays=True),
+                            "desired_relays: must be an integer"),
+    "mrd_offset_float": (dict(mrd_offset=0.0), "mrd_offset: must be an integer"),
+    "mrd_offset_bool": (dict(mrd_offset=False), "mrd_offset: must be an integer"),
+    "seed_float": (dict(seeds=[0.5]), "seeds[0]: must be an integer"),
+    "seed_bool": (dict(seeds=[0, True]), "seeds[1]: must be an integer"),
+    "payload_float": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        payload_bytes=100.5, stop=5.0)])),
+        "traffic.flows[0].payload_bytes: must be an integer"),
+    "payload_bool": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        payload_bytes=True, stop=5.0)])),
+        "traffic.flows[0].payload_bytes: must be an integer"),
 }
 
 
