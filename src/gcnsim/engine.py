@@ -43,6 +43,10 @@ SAMPLE_PERIOD = 1.0
 # event kinds, ordered only by (time, key)
 _RX, _TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(7)
 
+# a transmission's trace event, one string per packet kind: every record of
+# a kind holds the same object instead of a copy built per transmission
+_TX_EVENTS = {kind: "tx:" + kind for kind in ("discovery", "ack", "data")}
+
 
 def trace_hash(trace: list) -> str:
     h = hashlib.sha256()
@@ -62,6 +66,8 @@ class Run:
         self.seed = seed
         self.collect_trace = collect_trace
         self.trace: list = []
+        # byte count -> the one int object every traced record of it holds
+        self._trace_bytes: dict = {}
         self.now = 0.0
         self._seq = 0
         self._heap: list = []
@@ -240,7 +246,9 @@ class Run:
         if self.collect_trace:
             info = (pkt.ttl if pkt.ttl is not None
                     else [m for _, m in pkt.destinations])
-            self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
+            kind = pkt.kind
+            self._record(sender, _TX_EVENTS.get(kind) or "tx:" + kind, pkt.msg_id,
+                         info, self._trace_bytes.setdefault(nbytes, nbytes))
         if self._mobile:
             self._sync_positions()
         per = self._flat_per

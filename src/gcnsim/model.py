@@ -130,20 +130,58 @@ def _non_finite(value) -> list:
             for k, v in items if not isinstance(v, int) for path in _non_finite(v)]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a field's annotation -> the test its value must pass, and the violation if
+# not; a count is an int, not a float or a bool
+_TYPE_RULES = {
+    "int": (lambda v: type(v) is int, "must be an integer"),
+    "float": (_is_number, "must be a number"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "must be a number or null"),
+}
+
+
+def _mistyped(spec, path: str = "") -> list:
+    """A violation for each count and number in a dataclass, its nested
+    specs and its flows whose value does not fit the field's annotation."""
+    out = []
+    for f in fields(spec):
+        value, sub = getattr(spec, f.name), path + f.name
+        if is_dataclass(value):
+            out += _mistyped(value, sub + ".")
+        elif f.type in _TYPE_RULES and not _TYPE_RULES[f.type][0](value):
+            out.append(f"{sub}: {_TYPE_RULES[f.type][1]}")
+    if isinstance(spec, TrafficSpec):
+        for i, flow in enumerate(spec.flows):
+            out += _mistyped(flow, f"{path}flows[{i}].")
+    return out
+
+
 def validate_scenario(sc: Scenario) -> list:
     """Return a list of human-readable invariant violations (empty = valid).
 
     Every number must be finite: JSON and `--values` both accept NaN and
     infinity, and a flow rate of either would never finish scheduling.  A
-    count, a seed or a byte size must be an int, not a float or a bool."""
+    count, a seed or a byte size must be an int, not a float or a bool.  A
+    scenario with a value of the wrong type gets only the type violations:
+    the range checks compare numbers."""
     out = [f"{path[1:]}: must be finite" for path in _non_finite(sc)]
-    counts = [(name, getattr(sc, name)) for name in
-              ("num_users", "source_ttl", "desired_relays", "mrd_offset")]
-    counts += [(f"seeds[{i}]", seed) for i, seed in enumerate(sc.seeds)]
-    counts += [(f"traffic.flows[{i}].payload_bytes", flow.payload_bytes)
-               for i, flow in enumerate(sc.traffic.flows)]
-    out += [f"{name}: must be an integer" for name, value in counts
-            if type(value) is not int]
+    mistyped = _mistyped(sc)
+    if isinstance(sc.seeds, (list, tuple)):
+        mistyped += [f"seeds[{i}]: must be an integer"
+                     for i, seed in enumerate(sc.seeds) if type(seed) is not int]
+    else:
+        mistyped.append("seeds: must be a list of integers")
+    curve = sc.channel.curve_points
+    if curve is not None and not (
+            isinstance(curve, (list, tuple))
+            and all(isinstance(pt, (list, tuple)) and len(pt) == 2
+                    and all(map(_is_number, pt)) for pt in curve)):
+        mistyped.append("channel.curve_points: must be a list of (distance, per) pairs")
+    if mistyped:
+        return out + mistyped
     if sc.num_users < 1:
         out.append("num_users: must be >= 1")
     if not (0.0 < sc.group_prob <= 1.0):
@@ -285,10 +323,16 @@ def _dataclass_from_dict(cls, data: dict, path: str = ""):
         if cls is Scenario and name in _NESTED:
             kwargs[name] = _dataclass_from_dict(_NESTED[name], value, sub)
         elif cls is TrafficSpec and name == "flows":
+            if not isinstance(value, list):
+                raise ConfigurationError(f"{sub}: expected a list")
             kwargs[name] = [_dataclass_from_dict(TrafficFlow, f, f"{sub}[{i}]")
                             for i, f in enumerate(value)]
         elif cls is ChannelSpec and name == "curve_points" and value is not None:
-            kwargs[name] = [(float(d), float(p)) for d, p in value]
+            try:
+                kwargs[name] = [(float(d), float(p)) for d, p in value]
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{sub}: expected a list of [distance, per] pairs") from None
         else:
             kwargs[name] = value
     return cls(**kwargs)

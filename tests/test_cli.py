@@ -169,6 +169,19 @@ def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     assert "source_ttl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_users", "30"), ("group_prob", "0.1"), ("seeds", 5), ("tx_radius", None)])
+def test_run_lists_a_value_of_the_wrong_type(field, value, tmp_path, capsys):
+    scenario = write_small(tmp_path)
+    data = json.loads(scenario.read_text())
+    data[field] = value
+    scenario.write_text(json.dumps(data))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {field}: must be" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_presets_listing_and_export(tmp_path, capsys):
     out = tmp_path / "presets"
     assert main(["presets", "--write", str(out)]) == 0
@@ -422,6 +435,23 @@ def test_outputs_do_not_depend_on_the_worker_count(argv, tmp_path, capsys,
     assert code in (0, 1) and captured.err == ""
     assert (captured.out != "") == (argv[0] != "sweep")  # sweep --out prints nothing
     assert len(files) == (0 if argv[0] == "check" else 1)
+
+
+def test_a_traced_run_writes_the_same_files_with_one_worker_or_two(
+        tmp_path, capsys, monkeypatch):
+    # with two workers each seed's trace comes back pickled
+    scenario = write_small(tmp_path)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GCNSIM_WORKERS", workers)
+        out = tmp_path / workers
+        assert main(["run", str(scenario), "--seeds", "0,1", "--trace",
+                     "--out", str(out)]) == 0
+        outputs.append(({path.name: path.read_bytes() for path in out.iterdir()},
+                        capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][0]) == ["per_seed.csv", "summary.json",
+                                     "trace_seed0.jsonl", "trace_seed1.jsonl"]
 
 
 @pytest.mark.parametrize("workers, cpus, pools", [

@@ -1,5 +1,6 @@
 """Event engine: determinism, byte accounting, scheduling, and reporting."""
 
+import json
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,7 @@ from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
 from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, ProtocolError,
                              SendAck, Transmit)
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 
 def flows(*fl):
@@ -104,6 +105,20 @@ def test_trace_bytes_match_report_totals():
     assert control == report.bytes_control
     assert data == report.bytes_data
     assert report.bytes_total == control + data
+
+
+@pytest.mark.parametrize("key", [
+    "targeted_collection/gcn/0", "targeted_mobile/gcn/0",
+    "byte_comparison/smf/1", "resiliency_sweep/smf/0"])
+def test_trace_records_share_their_event_and_byte_count(key):
+    # a trace holds one object per event name and one per byte count, not a
+    # copy per transmission; the records' values, and so the hash, are the
+    # pinned ones
+    sc, seed = CASES[key]
+    trace, _ = Run(sc, seed).run()
+    for field in (2, 5):  # event, bytes
+        assert len({id(rec[field]) for rec in trace}) == len({rec[field] for rec in trace})
+    assert trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
 
 
 # --- clock and scheduling -------------------------------------------------

@@ -208,6 +208,21 @@ BAD_FIELDS = {
     "payload_bool": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         payload_bytes=True, stop=5.0)])),
         "traffic.flows[0].payload_bytes: must be an integer"),
+    # a value of the wrong kind is listed, not compared by the range checks
+    "num_users_string": (dict(num_users="30"), "num_users: must be an integer"),
+    "group_prob_string": (dict(group_prob="0.1"), "group_prob: must be a number"),
+    "group_prob_bool": (dict(group_prob=True), "group_prob: must be a number"),
+    "seeds_an_int": (dict(seeds=5), "seeds: must be a list of integers"),
+    "tx_radius_none": (dict(tx_radius=None), "tx_radius: must be a number"),
+    "outer_radius_string": (dict(outer_radius="200"),
+                            "outer_radius: must be a number or null"),
+    "rate_string": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        rate="2", stop=5.0)])), "traffic.flows[0].rate: must be a number"),
+    "speed_max_none": (dict(mobility=MobilitySpec(speed_max=None)),
+                       "mobility.speed_max: must be a number"),
+    "curve_point_string": (dict(channel=ChannelSpec(
+        flat_per=None, curve_points=[("10", 0.5)])),
+        "channel.curve_points: must be a list of (distance, per) pairs"),
 }
 
 
@@ -373,6 +388,20 @@ def test_a_retired_key_is_an_unknown_key(section, key, value):
     (data[section] if section else data)[key] = value
     with pytest.raises(ConfigurationError, match=re.escape(
             f"{section or 'Scenario'}: unknown keys ['{key}']")):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("traffic", "flows", 5),
+    ("channel", "curve_points", 5),
+    ("channel", "curve_points", [["a", 0.5]]),
+    ("channel", "curve_points", [[10.0, 0.5, 0.9]]),
+], ids=["flows_an_int", "curve_points_an_int", "curve_point_a_string",
+        "curve_point_a_triple"])
+def test_a_misshapen_list_is_a_configuration_error(section, key, value):
+    data = scenario_to_dict(Scenario())
+    data[section][key] = value
+    with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}: expected")):
         scenario_from_dict(data)
 
 
