@@ -100,14 +100,21 @@ def trace_lines(trace: list):
                f'"msg_id": {mid}, "info": {info}, "bytes": {nbytes}}}\n')
 
 
+def _invalid(scenario: Scenario, label: str = "") -> bool:
+    """Print every violation of `scenario`, under `label` if one is given;
+    True if there is one."""
+    violations = validate_scenario(scenario)
+    where = f" for {label}" if label else ""
+    for v in violations:
+        print(f"invalid scenario{where}: {v}", file=sys.stderr)
+    return bool(violations)
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seeds:
         scenario.seeds = parse_seeds(args.seeds)
-    violations = validate_scenario(scenario)
-    if violations:
-        for v in violations:
-            print(f"invalid scenario: {v}", file=sys.stderr)
+    if _invalid(scenario):
         return 2
     os.makedirs(args.out, exist_ok=True)  # before any seed runs
     [results] = _run_groups([(scenario, scenario.seeds)], args.trace)
@@ -117,14 +124,6 @@ def cmd_run(args) -> int:
         s = summary[metric]
         print(f"{metric}: mean={s['mean']:.6g} ci95=±{s['ci95_half']:.3g} n={s['n']}")
     return 0
-
-
-def _invalid(scenario: Scenario, label: str) -> bool:
-    """Print every violation of `scenario` under `label`; True if there is one."""
-    violations = validate_scenario(scenario)
-    for v in violations:
-        print(f"invalid scenario for {label}: {v}", file=sys.stderr)
-    return bool(violations)
 
 
 def cmd_compare(args) -> int:

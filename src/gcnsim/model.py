@@ -64,7 +64,7 @@ class ChannelSpec:
     # exactly one loss model: a flat_per in [0, 1], or a non-empty curve
     # with flat_per None; validation rejects a spec that sets both or neither
     flat_per: Optional[float] = 0.0
-    curve_points: Optional[list] = None  # [(distance_m, per), ...] increasing
+    curve_points: Optional[list[tuple[float, float]]] = None  # (distance_m, per), increasing
     base_loss: float = 0.0
 
 
@@ -92,7 +92,7 @@ class TrafficFlow:
 
 @dataclass
 class TrafficSpec:
-    flows: list = field(default_factory=list)  # list[TrafficFlow]
+    flows: list[TrafficFlow] = field(default_factory=list)
 
 
 @dataclass
@@ -109,54 +109,53 @@ class Scenario:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
     duration: float = 10.0
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     protocol: str = "gcn"             # "gcn" | "smf"
     timing: TimingParams = field(default_factory=TimingParams)
-
-
-def _non_finite(value) -> list:
-    """The paths (".timing.forward_jitter_max", ".traffic.flows[0].rate") to every
-    NaN or infinite float in a dataclass, list or tuple; ints are skipped,
-    as none can be either."""
-    if isinstance(value, float):
-        return [] if math.isfinite(value) else [""]
-    if isinstance(value, (list, tuple)):
-        items = enumerate(value)
-    elif is_dataclass(value):
-        items = vars(value).items()
-    else:
-        return []
-    return [(f"[{k}]" if type(k) is int else f".{k}") + path
-            for k, v in items if not isinstance(v, int) for path in _non_finite(v)]
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# a field's annotation -> the test its value must pass, and the violation if
-# not; a count is an int, not a float or a bool
+# a field's annotation -> the test its value must pass, the violation if not,
+# and the annotation of a list's items; a count is an int, not a float or a
+# bool.  A str or a nested spec has no rule of its own
 _TYPE_RULES = {
-    "int": (lambda v: type(v) is int, "must be an integer"),
-    "float": (_is_number, "must be a number"),
-    "Optional[float]": (lambda v: v is None or _is_number(v), "must be a number or null"),
+    "int": (lambda v: type(v) is int, "must be an integer", None),
+    "float": (_is_number, "must be a number", None),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "must be a number or null", None),
+    "list[int]": (lambda v: isinstance(v, (list, tuple)), "must be a list of integers", "int"),
+    "list[TrafficFlow]": (lambda v: isinstance(v, list), "must be a list of flows", "TrafficFlow"),
+    "TrafficFlow": (lambda v: isinstance(v, TrafficFlow), "must be a flow", None),
+    "Optional[list[tuple[float, float]]]": (
+        lambda v: v is None or isinstance(v, (list, tuple)) and all(
+            isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))
+            for pt in v),
+        "must be a list of (distance, per) pairs", "tuple[float, float]"),
+    "tuple[float, float]": (lambda v: True, "", "float"),  # its curve's rule judged it
 }
+_NO_RULE = (lambda v: True, "", None)
 
 
-def _mistyped(spec, path: str = "") -> list:
-    """A violation for each count and number in a dataclass, its nested
-    specs and its flows whose value does not fit the field's annotation."""
-    out = []
-    for f in fields(spec):
-        value, sub = getattr(spec, f.name), path + f.name
-        if is_dataclass(value):
-            out += _mistyped(value, sub + ".")
-        elif f.type in _TYPE_RULES and not _TYPE_RULES[f.type][0](value):
-            out.append(f"{sub}: {_TYPE_RULES[f.type][1]}")
-    if isinstance(spec, TrafficSpec):
-        for i, flow in enumerate(spec.flows):
-            out += _mistyped(flow, f"{path}flows[{i}].")
-    return out
+def _walk(value, annotation: str, path: str, mistyped: list, non_finite: list) -> None:
+    """List under `path` each NaN or infinite float and each value that its
+    annotation's rule refuses, in `value` and, field by field and item by
+    item, under it; a refused value is not walked into."""
+    test, message, items = _TYPE_RULES.get(annotation, _NO_RULE)
+    if type(value) is float and not math.isfinite(value):
+        non_finite.append(f"{path}: must be finite")
+    if not test(value):
+        mistyped.append(f"{path}: {message}")
+    elif items is not None and value is not None:
+        item_test = _TYPE_RULES[items][0]
+        for i, item in enumerate(value):
+            if type(item) is not int or not item_test(item):  # else finite, holding nothing
+                _walk(item, items, f"{path}[{i}]", mistyped, non_finite)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _walk(getattr(value, f.name), f.type, f"{path}.{f.name}" if path else f.name,
+                  mistyped, non_finite)
 
 
 def validate_scenario(sc: Scenario) -> list:
@@ -167,19 +166,8 @@ def validate_scenario(sc: Scenario) -> list:
     count, a seed or a byte size must be an int, not a float or a bool.  A
     scenario with a value of the wrong type gets only the type violations:
     the range checks compare numbers."""
-    out = [f"{path[1:]}: must be finite" for path in _non_finite(sc)]
-    mistyped = _mistyped(sc)
-    if isinstance(sc.seeds, (list, tuple)):
-        mistyped += [f"seeds[{i}]: must be an integer"
-                     for i, seed in enumerate(sc.seeds) if type(seed) is not int]
-    else:
-        mistyped.append("seeds: must be a list of integers")
-    curve = sc.channel.curve_points
-    if curve is not None and not (
-            isinstance(curve, (list, tuple))
-            and all(isinstance(pt, (list, tuple)) and len(pt) == 2
-                    and all(map(_is_number, pt)) for pt in curve)):
-        mistyped.append("channel.curve_points: must be a list of (distance, per) pairs")
+    out, mistyped = [], []
+    _walk(sc, "Scenario", "", mistyped, out)
     if mistyped:
         return out + mistyped
     if sc.num_users < 1:
@@ -252,7 +240,7 @@ def validate_scenario(sc: Scenario) -> list:
             elif flow.dests == "source" == flow.senders:
                 out.append(f"traffic.flows[{i}].dests: the source never addresses itself")
         elif not (isinstance(flow.dests, (list, tuple)) and flow.dests
-                  and all(isinstance(d, int) and 0 <= d < sc.num_users
+                  and all(type(d) is int and 0 <= d < sc.num_users
                           for d in flow.dests)
                   and len(set(flow.dests)) == len(flow.dests)):
             out.append(f"traffic.flows[{i}].dests: need a non-empty list of "
@@ -301,15 +289,9 @@ def place_nodes(sc: Scenario, rng: random.Random):
 
 # --- Scenario (de)serialization ------------------------------------------
 
-_NESTED = {
-    "channel": ChannelSpec,
-    "mobility": MobilitySpec,
-    "timing": TimingParams,
-    "traffic": TrafficSpec,
-}
-
-
 def _dataclass_from_dict(cls, data: dict, path: str = ""):
+    """Build `cls`, its nested specs, flows and curve points (as tuples) from
+    their dict form; every value stays as written, for validation to judge."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path or cls.__name__}: expected an object")
     known = {f.name: f for f in fields(cls)}
@@ -320,19 +302,15 @@ def _dataclass_from_dict(cls, data: dict, path: str = ""):
     kwargs = {}
     for name, value in data.items():
         sub = path + "." + name if path else name
-        if cls is Scenario and name in _NESTED:
-            kwargs[name] = _dataclass_from_dict(_NESTED[name], value, sub)
+        if is_dataclass(known[name].default_factory):  # a nested spec: its class
+            kwargs[name] = _dataclass_from_dict(known[name].default_factory, value, sub)
         elif cls is TrafficSpec and name == "flows":
             if not isinstance(value, list):
                 raise ConfigurationError(f"{sub}: expected a list")
             kwargs[name] = [_dataclass_from_dict(TrafficFlow, f, f"{sub}[{i}]")
                             for i, f in enumerate(value)]
-        elif cls is ChannelSpec and name == "curve_points" and value is not None:
-            try:
-                kwargs[name] = [(float(d), float(p)) for d, p in value]
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"{sub}: expected a list of [distance, per] pairs") from None
+        elif cls is ChannelSpec and name == "curve_points" and isinstance(value, list):
+            kwargs[name] = [tuple(pt) if isinstance(pt, list) else pt for pt in value]
         else:
             kwargs[name] = value
     return cls(**kwargs)

@@ -182,6 +182,22 @@ def test_run_lists_a_value_of_the_wrong_type(field, value, tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("curve", [5, [["a", 0.5]], [[10.0, 0.5, 0.9]], [[True, 0.5]],
+                                   [["10", 0.5]]],
+                         ids=["an_int", "a_string", "a_triple", "a_bool", "a_string_number"])
+def test_run_lists_a_misshapen_curve(curve, tmp_path, capsys):
+    # the file loads, and validation refuses its curve before any seed runs
+    scenario = write_small(tmp_path, channel=ChannelSpec(flat_per=None))
+    data = json.loads(scenario.read_text())
+    data["channel"]["curve_points"] = curve
+    scenario.write_text(json.dumps(data))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("invalid scenario: channel.curve_points: "
+                   "must be a list of (distance, per) pairs\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_presets_listing_and_export(tmp_path, capsys):
     out = tmp_path / "presets"
     assert main(["presets", "--write", str(out)]) == 0

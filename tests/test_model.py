@@ -1,11 +1,12 @@
 """Scenario configuration, placement statistics, and RNG stream hygiene."""
 
+import copy
 import hashlib
 import json
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,14 @@ BAD_FIELDS = {
     "curve_point_string": (dict(channel=ChannelSpec(
         flat_per=None, curve_points=[("10", 0.5)])),
         "channel.curve_points: must be a list of (distance, per) pairs"),
+    # a bool is no node id: the run would address node 1
+    "dests_a_bool": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        pattern="targeted", dests=[True, 3], stop=5.0)])), "flows[0].dests"),
+    # flows built in code are listed, not raised on
+    "flows_not_a_list": (dict(traffic=TrafficSpec(flows=5)),
+                         "traffic.flows: must be a list of flows"),
+    "flow_not_a_flow": (dict(traffic=TrafficSpec(flows=[5])),
+                        "traffic.flows[0]: must be a flow"),
 }
 
 
@@ -270,6 +279,55 @@ NON_FINITE = {
 def test_validate_rejects_every_non_finite_number(patch, path):
     # validation alone: a scenario like these is never run
     assert f"{path}: must be finite" in validate_scenario(Scenario(**patch))
+
+
+# a scenario with one flow; the two tests below set each field of it in turn
+ONE_FLOW = Scenario(traffic=TrafficSpec(flows=[TrafficFlow(stop=5.0)]))
+
+
+def _leaf_fields(spec, path=""):
+    """(path, owner, name, annotation) of each field under `spec` that holds
+    neither a nested spec nor the flows, walked into field by field."""
+    for f in fields(spec):
+        value, sub = getattr(spec, f.name), path + f.name
+        if is_dataclass(value):
+            yield from _leaf_fields(value, sub + ".")
+        elif f.name == "flows":
+            for i, flow in enumerate(value):
+                yield from _leaf_fields(flow, f"{sub}[{i}].")
+        else:
+            yield sub, spec, f.name, f.type
+
+
+def _set(path, value):
+    """A copy of ONE_FLOW with the field at `path` set to `value`."""
+    sc = copy.deepcopy(ONE_FLOW)
+    [(owner, name)] = [(o, n) for p, o, n, _ in _leaf_fields(sc) if p == path]
+    setattr(owner, name, value)
+    return sc
+
+
+NUMBER_FIELDS = [p for p, _, _, a in _leaf_fields(ONE_FLOW)
+                 if a in ("int", "float", "Optional[float]")]
+FLOAT_FIELDS = [p for p, _, _, a in _leaf_fields(ONE_FLOW)
+                if a in ("float", "Optional[float]")]
+
+
+def test_every_number_field_is_walked():
+    # a field added later is checked with no new row; these had no row
+    assert {"mobility.pause_min", "timing.distance_refresh_period",
+            "traffic.flows[0].payload_bytes"} <= set(NUMBER_FIELDS)
+    assert validate_scenario(ONE_FLOW) == []
+
+
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_a_string_in_any_number_field_is_listed_at_its_path(path):
+    assert [p.split(": ")[0] for p in validate_scenario(_set(path, "1"))] == [path]
+
+
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_a_nan_in_any_float_field_is_listed_at_its_path(path):
+    assert f"{path}: must be finite" in validate_scenario(_set(path, NAN))
 
 
 def test_validate_nested_specs():
@@ -393,16 +451,40 @@ def test_a_retired_key_is_an_unknown_key(section, key, value):
 
 @pytest.mark.parametrize("section, key, value", [
     ("traffic", "flows", 5),
-    ("channel", "curve_points", 5),
-    ("channel", "curve_points", [["a", 0.5]]),
-    ("channel", "curve_points", [[10.0, 0.5, 0.9]]),
-], ids=["flows_an_int", "curve_points_an_int", "curve_point_a_string",
-        "curve_point_a_triple"])
+], ids=["flows_an_int"])
 def test_a_misshapen_list_is_a_configuration_error(section, key, value):
+    # flows must be built, so a file whose flows are no list does not load
     data = scenario_to_dict(Scenario())
     data[section][key] = value
     with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}: expected")):
         scenario_from_dict(data)
+
+
+MISSHAPEN_CURVES = {
+    "curve_points_an_int": 5,
+    "curve_point_a_string": [["a", 0.5]],
+    "curve_point_a_triple": [[10.0, 0.5, 0.9]],
+    "curve_point_a_bool": [[True, 0.5]],
+    "curve_point_a_string_number": [["10", 0.5]],
+}
+
+
+@pytest.mark.parametrize("value", MISSHAPEN_CURVES.values(), ids=MISSHAPEN_CURVES)
+def test_a_misshapen_curve_loads_and_is_listed(value):
+    # the loader keeps the points as written, and validation judges them
+    data = scenario_to_dict(Scenario(channel=ChannelSpec(flat_per=None)))
+    data["channel"]["curve_points"] = value
+    assert validate_scenario(scenario_from_dict(data)) == [
+        "channel.curve_points: must be a list of (distance, per) pairs"]
+
+
+def test_a_curve_loads_as_written():
+    data = scenario_to_dict(Scenario(channel=ChannelSpec(flat_per=None)))
+    data["channel"]["curve_points"] = [[10, 0.0], [20.5, 1]]
+    sc = scenario_from_dict(data)
+    assert sc.channel.curve_points == [(10, 0.0), (20.5, 1)]
+    assert [type(v) for pt in sc.channel.curve_points for v in pt] == [int, float, float, int]
+    assert validate_scenario(sc) == []
 
 
 def test_load_rejects_bad_json(tmp_path):
