@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .analytics import aggregate
-from .engine import run_scenario
+from .engine import Trace, run_scenario
 from .model import (ConfigurationError, Scenario, load_scenario,
                     save_scenario, validate_scenario)
 from .presets import PRESETS, get_preset
@@ -81,11 +81,11 @@ def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
                 fh.writelines(trace_lines(trace))
 
 
-def trace_lines(trace: list):
-    """One JSON object per trace record, each line as `json.dumps` writes the
-    record's dict (README.md describes the fields), formatted directly: ints
-    and float times print as JSON does, and only an `info` that is neither
-    None nor an int goes through `json.dumps`."""
+def trace_lines(trace: Trace):
+    """One JSON object per record of `trace` (or of any iterable of record
+    tuples), as `json.dumps` writes the record's dict (README.md describes
+    the fields), formatted directly: ints and float times print as JSON
+    does, and only an `info` that is neither None nor an int is dumped."""
     names = {}  # event name -> its JSON string
     for time, node, event, msg_id, info, nbytes in trace:
         name = names.get(event)

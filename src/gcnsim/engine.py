@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from functools import partial
 
 from . import channel as channel_mod
@@ -48,7 +49,26 @@ _RX, _TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(7)
 _TX_EVENTS = {kind: "tx:" + kind for kind in ("discovery", "ack", "data")}
 
 
-def trace_hash(trace: list) -> str:
+class Trace:
+    """A run's trace records, kept by field: an array of times and one list
+    per other field.  Iterating yields each record as a `(time, node, event,
+    msg_id, info, bytes)` tuple, and `len()` counts them; `Run._record` is
+    the only writer."""
+
+    __slots__ = ("time", "node", "event", "msg_id", "info", "nbytes")
+
+    def __init__(self):
+        self.time = array("d")
+        self.node, self.event, self.msg_id, self.info, self.nbytes = [], [], [], [], []
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self):
+        return zip(self.time, self.node, self.event, self.msg_id, self.info, self.nbytes)
+
+
+def trace_hash(trace: Trace) -> str:
     h = hashlib.sha256()
     for rec in trace:
         h.update(repr(rec).encode())
@@ -56,7 +76,8 @@ def trace_hash(trace: list) -> str:
 
 
 class Run:
-    """One simulation of one scenario under one seed."""
+    """One simulation of one scenario under one seed.  `run()` returns
+    `(trace, report)`; the trace is a `Trace`, empty unless `collect_trace`."""
 
     def __init__(self, scenario: Scenario, seed: int, collect_trace: bool = True):
         violations = validate_scenario(scenario)
@@ -65,7 +86,7 @@ class Run:
         self.sc = scenario
         self.seed = seed
         self.collect_trace = collect_trace
-        self.trace: list = []
+        self.trace = Trace()
         # byte count -> the one int object every traced record of it holds
         self._trace_bytes: dict = {}
         self.now = 0.0
@@ -208,7 +229,13 @@ class Run:
 
     def _record(self, node, event, msg_id=None, info=None, nbytes=0) -> None:
         if self.collect_trace:
-            self.trace.append((round(self.now, 9), node, event, msg_id, info, nbytes))
+            t = self.trace
+            t.time.append(round(self.now, 9))
+            t.node.append(node)
+            t.event.append(event)
+            t.msg_id.append(msg_id)
+            t.info.append(info)
+            t.nbytes.append(nbytes)
 
     def _resolve_dests(self, flow, sender) -> list:
         """Who each message of `flow` from `sender` is for: the one rule,

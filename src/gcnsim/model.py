@@ -120,7 +120,7 @@ def _is_number(value) -> bool:
 
 # a field's annotation -> the test its value must pass, the violation if not,
 # and the annotation of a list's items; a count is an int, not a float or a
-# bool.  A str or a nested spec has no rule of its own
+# bool; a nested spec must be an instance of its class.  A str has no rule
 _TYPE_RULES = {
     "int": (lambda v: type(v) is int, "must be an integer", None),
     "float": (_is_number, "must be a number", None),
@@ -128,6 +128,8 @@ _TYPE_RULES = {
     "list[int]": (lambda v: isinstance(v, (list, tuple)), "must be a list of integers", "int"),
     "list[TrafficFlow]": (lambda v: isinstance(v, list), "must be a list of flows", "TrafficFlow"),
     "TrafficFlow": (lambda v: isinstance(v, TrafficFlow), "must be a flow", None),
+    **{spec.__name__: (lambda v, spec=spec: isinstance(v, spec), "must be an object", None)
+       for spec in (ChannelSpec, MobilitySpec, TrafficSpec, TimingParams)},
     "Optional[list[tuple[float, float]]]": (
         lambda v: v is None or isinstance(v, (list, tuple)) and all(
             isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))

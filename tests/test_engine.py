@@ -1,6 +1,8 @@
 """Event engine: determinism, byte accounting, scheduling, and reporting."""
 
 import json
+import pickle
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -119,6 +121,54 @@ def test_trace_records_share_their_event_and_byte_count(key):
     for field in (2, 5):  # event, bytes
         assert len({id(rec[field]) for rec in trace}) == len({rec[field] for rec in trace})
     assert trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
+
+
+@pytest.mark.parametrize("key,bound", [
+    ("resiliency_sweep/smf/0", 85), ("resiliency_sweep/gcn/0", 120)])
+def test_a_kept_trace_record_costs_its_fields_not_a_tuple(key, bound):
+    # memory held by a finished run's trace, per record, measured in a fresh
+    # process: about 54 B (flood) and 89 B (GCN) kept by field, against
+    # 124 B and 158 B as one tuple and one float object per record
+    sc, seed = CASES[key]
+    tracemalloc.start()
+    try:
+        trace, _ = Run(sc, seed).run()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(trace) < bound
+    assert trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
+
+
+class TupleRun(Run):
+    """Also keeps each record as the tuple `_record` was given, in a list."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.tuples = []
+
+    def _record(self, node, event, msg_id=None, info=None, nbytes=0):
+        super()._record(node, event, msg_id, info, nbytes)
+        self.tuples.append((round(self.now, 9), node, event, msg_id, info, nbytes))
+
+
+def test_an_untraced_run_keeps_an_empty_trace():
+    sc, seed = CASES["targeted_collection/gcn/0"]
+    trace, _ = Run(sc, seed, collect_trace=False).run()
+    assert len(trace) == 0 and not trace and list(trace) == []
+
+
+@pytest.mark.parametrize("key", ["targeted_collection/gcn/0", "byte_comparison/smf/1"])
+def test_a_trace_yields_its_records_as_tuples_and_pickles_whole(key):
+    sc, seed = CASES[key]
+    run = TupleRun(sc, seed)
+    trace, _ = run.run()
+    records = list(trace)
+    assert all(type(rec) is tuple for rec in records)
+    assert records == run.tuples and len(trace) == len(run.tuples)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert len(copy) == len(trace)
+    assert trace_hash(copy) == trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
 
 
 # --- clock and scheduling -------------------------------------------------

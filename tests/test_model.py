@@ -232,6 +232,12 @@ BAD_FIELDS = {
                          "traffic.flows: must be a list of flows"),
     "flow_not_a_flow": (dict(traffic=TrafficSpec(flows=[5])),
                         "traffic.flows[0]: must be a flow"),
+    # a nested spec built in code as None or a number is listed, not read
+    "channel_none": (dict(channel=None), "channel: must be an object"),
+    "channel_an_int": (dict(channel=5), "channel: must be an object"),
+    "timing_none": (dict(timing=None), "timing: must be an object"),
+    "mobility_none": (dict(mobility=None), "mobility: must be an object"),
+    "traffic_none": (dict(traffic=None), "traffic: must be an object"),
 }
 
 
