@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .analytics import aggregate
-from .engine import Trace, run_scenario
+from .engine import Trace, run_scenario, trace_lines
 from .model import (ConfigurationError, Scenario, load_scenario,
                     save_scenario, validate_scenario)
 from .presets import PRESETS, get_preset
@@ -32,17 +32,29 @@ def parse_seeds(spec: str) -> list:
                                  "integers") from None
     if not seeds:
         raise ConfigurationError(f"--seeds {spec!r} names no seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"--seeds {spec!r} repeats a seed")
     return seeds
 
 
+def write_trace(trace: Trace, out_dir: str, seed: int) -> None:
+    with open(os.path.join(out_dir, f"trace_seed{seed}.jsonl"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(trace_lines(trace))
+
+
 def _worker(args):
-    scenario, seed, want_trace = args
-    trace, report = run_scenario(scenario, seed, collect_trace=want_trace)
+    scenario, seed, trace_dir = args
+    trace, report = run_scenario(scenario, seed, collect_trace=bool(trace_dir))
+    if trace_dir:  # written where it ran: no trace is pickled back
+        write_trace(trace, trace_dir, seed)
+        trace = Trace()
     return seed, trace, report
 
 
 def run_batch(jobs: list) -> list:
-    """(seed, trace, report) of each (scenario, seed, want_trace) job, in job order."""
+    """(seed, trace, report) of each (scenario, seed, trace_dir) job, in job
+    order; a job with no `trace_dir` (None or False) keeps no trace."""
     raw = os.environ.get("GCNSIM_WORKERS", str(os.cpu_count() or 1))
     try:
         workers = min(int(raw), len(jobs))
@@ -54,9 +66,9 @@ def run_batch(jobs: list) -> list:
         return list(pool.map(_worker, jobs))
 
 
-def _run_groups(groups: list, want_trace: bool = False) -> list:
+def _run_groups(groups: list, trace_dir: str | None = None) -> list:
     """Each (scenario, seeds) group's results in seed order, run as one job list."""
-    results = iter(run_batch([(scenario, seed, want_trace)
+    results = iter(run_batch([(scenario, seed, trace_dir)
                               for scenario, seeds in groups for seed in sorted(seeds)]))
     return [[next(results) for _ in seeds] for _, seeds in groups]
 
@@ -76,28 +88,7 @@ def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
         fh.write("\n")
     if want_trace:
         for seed, trace, _report in results:
-            path = os.path.join(out_dir, f"trace_seed{seed}.jsonl")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(trace_lines(trace))
-
-
-def trace_lines(trace: Trace):
-    """One JSON object per record of `trace` (or of any iterable of record
-    tuples), as `json.dumps` writes the record's dict (README.md describes
-    the fields), formatted directly: ints and float times print as JSON
-    does, and only an `info` that is neither None nor an int is dumped."""
-    names = {}  # event name -> its JSON string
-    for time, node, event, msg_id, info, nbytes in trace:
-        name = names.get(event)
-        if name is None:
-            name = names[event] = json.dumps(event)
-        mid = f"[{msg_id[0]}, {msg_id[1]}]" if msg_id else "null"
-        if info is None:
-            info = "null"
-        elif type(info) is not int:
-            info = json.dumps(info)
-        yield (f'{{"time": {time!r}, "node": {node}, "event": {name}, '
-               f'"msg_id": {mid}, "info": {info}, "bytes": {nbytes}}}\n')
+            write_trace(trace, out_dir, seed)
 
 
 def _invalid(scenario: Scenario, label: str = "") -> bool:
@@ -117,8 +108,8 @@ def cmd_run(args) -> int:
     if _invalid(scenario):
         return 2
     os.makedirs(args.out, exist_ok=True)  # before any seed runs
-    [results] = _run_groups([(scenario, scenario.seeds)], args.trace)
-    write_outputs(results, args.out, args.trace)
+    [results] = _run_groups([(scenario, scenario.seeds)], args.out if args.trace else None)
+    write_outputs(results, args.out, want_trace=False)
     summary = aggregate([r for _, _, r in results])
     for metric in sorted(summary):
         s = summary[metric]

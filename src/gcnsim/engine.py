@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 from array import array
 from functools import partial
 
@@ -68,16 +69,37 @@ class Trace:
         return zip(self.time, self.node, self.event, self.msg_id, self.info, self.nbytes)
 
 
+def trace_lines(trace: Trace):
+    """A trace's one written form: a JSON line per record of `trace`, or of
+    any iterable of record tuples, as `json.dumps` writes its dict (README.md),
+    formatted directly: ints and float times print as JSON does, and only an
+    `info` that is neither None nor an int is dumped (a tuple as a list)."""
+    names = {}  # event name -> its JSON string
+    for time, node, event, msg_id, info, nbytes in trace:
+        name = names.get(event)
+        if name is None:
+            name = names[event] = json.dumps(event)
+        mid = f"[{msg_id[0]}, {msg_id[1]}]" if msg_id else "null"
+        if info is None:
+            info = "null"
+        elif type(info) is not int:
+            info = json.dumps(info)
+        yield (f'{{"time": {time!r}, "node": {node}, "event": {name}, '
+               f'"msg_id": {mid}, "info": {info}, "bytes": {nbytes}}}\n')
+
+
 def trace_hash(trace: Trace) -> str:
+    """sha256 of the lines `trace_lines` writes: `sha256sum` of the file."""
     h = hashlib.sha256()
-    for rec in trace:
-        h.update(repr(rec).encode())
+    for line in trace_lines(trace):
+        h.update(line.encode())
     return h.hexdigest()
 
 
 class Run:
     """One simulation of one scenario under one seed.  `run()` returns
-    `(trace, report)`; the trace is a `Trace`, empty unless `collect_trace`."""
+    `(trace, report)`; the trace is a `Trace`, empty unless `collect_trace`,
+    where a GCN data or ACK record's `info` is a tuple of MRDs (`()` if none)."""
 
     def __init__(self, scenario: Scenario, seed: int, collect_trace: bool = True):
         violations = validate_scenario(scenario)
@@ -272,7 +294,7 @@ class Run:
             self.report.bytes_data += nbytes
         if self.collect_trace:
             info = (pkt.ttl if pkt.ttl is not None
-                    else [m for _, m in pkt.destinations])
+                    else tuple([m for _, m in pkt.destinations]))
             kind = pkt.kind
             self._record(sender, _TX_EVENTS.get(kind) or "tx:" + kind, pkt.msg_id,
                          info, self._trace_bytes.setdefault(nbytes, nbytes))

@@ -193,6 +193,8 @@ def validate_scenario(sc: Scenario) -> list:
         out.append("duration: must be positive")
     if not sc.seeds:
         out.append("seeds: must be non-empty")
+    elif len(set(sc.seeds)) != len(sc.seeds):
+        out.append("seeds: must be distinct")
     if sc.protocol not in ("gcn", "smf"):
         out.append("protocol: must be 'gcn' or 'smf'")
     ch = sc.channel

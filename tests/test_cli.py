@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import one_to_all_flow, small_scenario
-from gcnsim.cli import main, parse_seeds, trace_lines
+from gcnsim.cli import main, parse_seeds
+from gcnsim.engine import run_scenario, trace_hash, trace_lines
 from gcnsim.model import ChannelSpec, TrafficFlow, TrafficSpec, save_scenario
 from gcnsim.presets import get_preset
 
@@ -125,7 +126,7 @@ def every_event_scenario():
 
 
 # sha256 of trace_seed0.jsonl for every_event_scenario, as written by the
-# dict-and-json.dumps writer
+# dict-and-json.dumps writer, and so the `trace_hash` of its run
 EVERY_EVENT_TRACE_SHA256 = ("c6e6dba8f542bd3235e63e90eb73ebb3a1b3cb2b"
                             "ab475f249388c70a4c02f0e6")
 
@@ -138,6 +139,8 @@ def test_run_trace_output(tmp_path):
                  "--trace"]) == 0
     data = (out / "trace_seed0.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == EVERY_EVENT_TRACE_SHA256
+    trace, _ = run_scenario(every_event_scenario(), 0)
+    assert trace_hash(trace) == EVERY_EVENT_TRACE_SHA256
     lines = data.decode().splitlines()
     assert {json.loads(line)["event"] for line in lines} == set(TRACE_SCHEMA)
     for line in lines:
@@ -150,8 +153,8 @@ def test_trace_lines_equal_json_dumps_on_every_value_type():
                for node, nbytes in ((0, 0), (7, 1407), (123456, 20))
                for event in ("tx:data", 'odd "name"\\\t\u00e9\n')
                for msg_id in (None, (3, 1), (0, 12345))
-               for info in (None, 0, 5, -1, [4, 9], [], True, False, 0.25,
-                            "text", [True, None])]
+               for info in (None, 0, 5, -1, [4, 9], [], (4, 9), (), True, False,
+                            0.25, "text", [True, None])]
     assert list(trace_lines(records)) == dumped_lines(records)
 
 
@@ -306,6 +309,27 @@ def no_runs(*args, **kwargs):
     raise AssertionError("a seed ran before the input was checked")
 
 
+@pytest.mark.parametrize("argv, seeds, why", [
+    (["run", "SCENARIO", "--seeds", "0,0", "--out", "OUT"], [0],
+     "error: --seeds '0,0' repeats a seed"),
+    (["check", "discovery_reach", "--seeds", "1,0,1"], [0],
+     "error: --seeds '1,0,1' repeats a seed"),
+    (["run", "SCENARIO", "--out", "OUT"], [3, 3],
+     "invalid scenario: seeds: must be distinct"),
+], ids=["run", "check", "file"])
+def test_a_repeated_seed_exits_2_before_any_seed(argv, seeds, why, tmp_path, capsys,
+                                                 monkeypatch):
+    # a copy of a seed's run is no independent sample, and two workers would
+    # write the same trace file
+    scenario = str(write_small(tmp_path, seeds=seeds))
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    argv = [scenario if a == "SCENARIO" else a for a in argv]
+    assert main([str(tmp_path / "out") if a == "OUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert why in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("protocols, why", [
     (" , ", "error: --protocols ' , ' names no protocol"),
     ("gcn,flood", "invalid scenario for protocol=flood: protocol: must be"),
@@ -418,8 +442,8 @@ def test_sweep_param_paths(preset, param, raw, why, capsys, monkeypatch):
     captured = capsys.readouterr()
     if why is None:  # the value reaches the flow of the swept copy only
         assert code == 0
-        [(scenario, seed, want_trace)] = jobs
-        assert (seed, want_trace) == (0, False)
+        [(scenario, seed, trace_dir)] = jobs
+        assert (seed, trace_dir) == (0, None)
         assert scenario.traffic.flows[0].rate == 2.0
         assert get_preset(preset).scenario.traffic.flows[0].rate == 1.0
     else:
@@ -455,7 +479,8 @@ def test_outputs_do_not_depend_on_the_worker_count(argv, tmp_path, capsys,
 
 def test_a_traced_run_writes_the_same_files_with_one_worker_or_two(
         tmp_path, capsys, monkeypatch):
-    # with two workers each seed's trace comes back pickled
+    # each worker writes the trace of each seed it ran, and only the report
+    # comes back pickled
     scenario = write_small(tmp_path)
     outputs = []
     for workers in ("1", "2"):

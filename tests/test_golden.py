@@ -2,6 +2,10 @@
 scalars are pinned, so a refactor of the engine or the protocols that changes
 behaviour fails here rather than being caught only as "rerun equals rerun".
 
+A trace hash is `engine.trace_hash`, the sha256 of the trace as `run --trace`
+writes it, so a pinned value is the `sha256sum` of that case's
+`trace_seed<n>.jsonl`; a change that keeps every written byte keeps it.
+
 The pinned values live in `golden_traces.json`, next to this file.  A change
 that means to alter behaviour regenerates them, and says so, with
 
@@ -11,6 +15,7 @@ which prints each key whose trace hash or scalars changed, with the old and
 new value of every scalar that moved, before it rewrites the file.
 """
 
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -85,9 +90,13 @@ def test_golden_trace_and_scalars(golden_run):
 
 def test_written_golden_trace_equals_json_dumps_and_follows_schema(golden_run,
                                                                    tmp_path):
-    _, seed, trace, report = golden_run
+    key, seed, trace, report = golden_run
     write_outputs([(seed, trace, report)], str(tmp_path), want_trace=True)
-    with open(tmp_path / f"trace_seed{seed}.jsonl", encoding="utf-8") as fh:
+    path = tmp_path / f"trace_seed{seed}.jsonl"
+    # the pinned hash is the sha256 of the written file
+    pinned = json.loads(GOLDEN.read_text())[key]["trace"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
+    with open(path, encoding="utf-8") as fh:
         lines = list(fh)
     want = dumped_lines(trace)
     assert len(lines) == len(want)

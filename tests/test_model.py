@@ -154,6 +154,7 @@ BAD_FIELDS = {
     "mrd_offset_two": (dict(mrd_offset=2), "mrd_offset"),
     "duration_zero": (dict(duration=0.0), "duration"),
     "seeds_empty": (dict(seeds=[]), "seeds"),
+    "seeds_repeated": (dict(seeds=[0, 0]), "seeds: must be distinct"),
     "protocol_unknown": (dict(protocol="carrier-pigeon"), "protocol"),
     "outer_radius_inside_region": (dict(outer_radius=10.0), "outer_radius"),
     "group_prob_zero": (dict(group_prob=0.0), "group_prob"),
