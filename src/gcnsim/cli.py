@@ -45,8 +45,8 @@ def write_trace(trace: Trace, out_dir: str, seed: int) -> None:
 
 def _worker(args):
     scenario, seed, trace_dir = args
-    trace, report = run_scenario(scenario, seed, collect_trace=bool(trace_dir))
-    if trace_dir:  # written where it ran: no trace is pickled back
+    trace, report = run_scenario(scenario, seed, collect_trace=trace_dir is not None)
+    if trace_dir is not None:  # written where it ran: no trace is pickled back
         write_trace(trace, trace_dir, seed)
         trace = Trace()
     return seed, trace, report
@@ -54,7 +54,7 @@ def _worker(args):
 
 def run_batch(jobs: list) -> list:
     """(seed, trace, report) of each (scenario, seed, trace_dir) job, in job
-    order; a job with no `trace_dir` (None or False) keeps no trace."""
+    order; a job writes its trace to `trace_dir` unless that is None."""
     raw = os.environ.get("GCNSIM_WORKERS", str(os.cpu_count() or 1))
     try:
         workers = min(int(raw), len(jobs))
@@ -73,7 +73,9 @@ def _run_groups(groups: list, trace_dir: str | None = None) -> list:
     return [[next(results) for _ in seeds] for _, seeds in groups]
 
 
-def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
+def write_outputs(results: list, out_dir: str, want_trace: bool) -> dict:
+    """Write `per_seed.csv`, `summary.json` and, if `want_trace`, the traces
+    to `out_dir`; return the summary written."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "per_seed.csv"), "w", newline="",
               encoding="utf-8") as fh:
@@ -89,6 +91,7 @@ def write_outputs(results: list, out_dir: str, want_trace: bool) -> None:
     if want_trace:
         for seed, trace, _report in results:
             write_trace(trace, out_dir, seed)
+    return summary
 
 
 def _invalid(scenario: Scenario, label: str = "") -> bool:
@@ -109,8 +112,7 @@ def cmd_run(args) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)  # before any seed runs
     [results] = _run_groups([(scenario, scenario.seeds)], args.out if args.trace else None)
-    write_outputs(results, args.out, want_trace=False)
-    summary = aggregate([r for _, _, r in results])
+    summary = write_outputs(results, args.out, want_trace=False)
     for metric in sorted(summary):
         s = summary[metric]
         print(f"{metric}: mean={s['mean']:.6g} ci95=±{s['ci95_half']:.3g} n={s['n']}")

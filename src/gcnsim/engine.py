@@ -51,16 +51,16 @@ _TX_EVENTS = {kind: "tx:" + kind for kind in ("discovery", "ack", "data")}
 
 
 class Trace:
-    """A run's trace records, kept by field: an array of times and one list
-    per other field.  Iterating yields each record as a `(time, node, event,
-    msg_id, info, bytes)` tuple, and `len()` counts them; `Run._record` is
-    the only writer."""
+    """A run's trace records, kept by field: arrays of times, nodes and byte
+    counts, and lists of events, msg_ids and infos, all immutable.  Iterating
+    yields each record as a `(time, node, event, msg_id, info, bytes)` tuple,
+    and `len()` counts them; `Run._record` is the only writer."""
 
     __slots__ = ("time", "node", "event", "msg_id", "info", "nbytes")
 
     def __init__(self):
-        self.time = array("d")
-        self.node, self.event, self.msg_id, self.info, self.nbytes = [], [], [], [], []
+        self.time, self.node, self.nbytes = array("d"), array("q"), array("q")
+        self.event, self.msg_id, self.info = [], [], []
 
     def __len__(self) -> int:
         return len(self.time)
@@ -99,7 +99,7 @@ def trace_hash(trace: Trace) -> str:
 class Run:
     """One simulation of one scenario under one seed.  `run()` returns
     `(trace, report)`; the trace is a `Trace`, empty unless `collect_trace`,
-    where a GCN data or ACK record's `info` is a tuple of MRDs (`()` if none)."""
+    whose tuple `info`s are a GCN record's MRDs and a `noroute`'s recipients."""
 
     def __init__(self, scenario: Scenario, seed: int, collect_trace: bool = True):
         violations = validate_scenario(scenario)
@@ -109,8 +109,6 @@ class Run:
         self.seed = seed
         self.collect_trace = collect_trace
         self.trace = Trace()
-        # byte count -> the one int object every traced record of it holds
-        self._trace_bytes: dict = {}
         self.now = 0.0
         self._seq = 0
         self._heap: list = []
@@ -259,7 +257,7 @@ class Run:
             t.info.append(info)
             t.nbytes.append(nbytes)
 
-    def _resolve_dests(self, flow, sender) -> list:
+    def _resolve_dests(self, flow, sender) -> tuple:
         """Who each message of `flow` from `sender` is for: the one rule,
         applied once per sender at set-up.  A sender never addresses itself."""
         if flow.dests == "source":
@@ -268,7 +266,7 @@ class Run:
             dests = self.member_ids
         else:
             dests = flow.dests
-        return [d for d in dests if d != sender]
+        return tuple(d for d in dests if d != sender)
 
     # -- event execution ---------------------------------------------------
 
@@ -295,9 +293,7 @@ class Run:
         if self.collect_trace:
             info = (pkt.ttl if pkt.ttl is not None
                     else tuple([m for _, m in pkt.destinations]))
-            kind = pkt.kind
-            self._record(sender, _TX_EVENTS.get(kind) or "tx:" + kind, pkt.msg_id,
-                         info, self._trace_bytes.setdefault(nbytes, nbytes))
+            self._record(sender, _TX_EVENTS[pkt.kind], pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()
         per = self._flat_per
@@ -358,7 +354,7 @@ class Run:
             self.report.smf_ttl = ttl
         return ttl
 
-    def _do_traffic(self, flow_idx: int, sender: int, dests: list) -> None:
+    def _do_traffic(self, flow_idx: int, sender: int, dests: tuple) -> None:
         """Send one message of a flow to `dests`, as `_resolve_dests` gave
         them; a one-to-all packet names none of them."""
         flow = self.sc.traffic.flows[flow_idx]

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional
 
 NodeId = int
@@ -334,16 +334,7 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data)
 
 
-def scenario_to_dict(sc):
-    """The plain-dict (JSON) form of a scenario, or of any part of one."""
-    if is_dataclass(sc):
-        return {f.name: scenario_to_dict(getattr(sc, f.name)) for f in fields(sc)}
-    if isinstance(sc, (list, tuple)):
-        return [scenario_to_dict(v) for v in sc]
-    return sc
-
-
 def save_scenario(sc: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2)
+        json.dump(asdict(sc), fh, indent=2)
         fh.write("\n")

@@ -38,7 +38,7 @@ def seeds(fast_count: int) -> list:
 def batch(scenario, seed_list):
     """Reports in `seed_list` order, run as the CLI runs a job list."""
     return [report for _, _, report in run_batch(
-        [(scenario, seed, False) for seed in seed_list])]
+        [(scenario, seed, None) for seed in seed_list])]
 
 
 def mean(values):
@@ -49,7 +49,7 @@ def cell_means(cells: dict, seed_list: list) -> dict:
     """Each cell's (mean delivery, mean bytes) over `seed_list`, for a dict of
     cell -> scenario.  Every run of every cell is a job of one `run_batch`
     call, so no worker idles while another finishes a cell's last seed."""
-    results = iter(run_batch([(sc, seed, False) for sc in cells.values()
+    results = iter(run_batch([(sc, seed, None) for sc in cells.values()
                               for seed in seed_list]))
     out = {}
     for key in cells:

@@ -3,11 +3,14 @@
 import csv
 import hashlib
 import json
+import re
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import one_to_all_flow, small_scenario
+import gcnsim.cli as cli
 from gcnsim.cli import main, parse_seeds
 from gcnsim.engine import run_scenario, trace_hash, trace_lines
 from gcnsim.model import ChannelSpec, TrafficFlow, TrafficSpec, save_scenario
@@ -493,6 +496,29 @@ def test_a_traced_run_writes_the_same_files_with_one_worker_or_two(
     assert outputs[0] == outputs[1]
     assert sorted(outputs[0][0]) == ["per_seed.csv", "summary.json",
                                      "trace_seed0.jsonl", "trace_seed1.jsonl"]
+
+
+def test_a_failing_seed_cancels_the_seeds_no_worker_has_taken(tmp_path, monkeypatch):
+    # when seed 0 raises, `Executor.map` cancels every job not yet handed to
+    # a worker: only the seeds in flight, about two per worker, finish and
+    # leave a trace file, and no summary is written
+    run = cli.run_scenario
+
+    def seed0_fails(scenario, seed, collect_trace=True):
+        if seed == 0:
+            raise RuntimeError("seed 0 failed")
+        time.sleep(0.2)
+        return run(scenario, seed, collect_trace)
+
+    monkeypatch.setattr(cli, "run_scenario", seed0_fails)
+    monkeypatch.setenv("GCNSIM_WORKERS", "2")
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="seed 0 failed"):
+        main(["run", str(write_small(tmp_path)), "--seeds", "0..19", "--trace",
+              "--out", str(out)])
+    written = sorted(path.name for path in out.iterdir())
+    assert all(re.fullmatch(r"trace_seed([1-9]|1[0-9])\.jsonl", name) for name in written)
+    assert len(written) < 19 / 2
 
 
 @pytest.mark.parametrize("workers, cpus, pools", [

@@ -4,6 +4,7 @@ import json
 import pickle
 import tracemalloc
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from gcnsim.packets import Packet
 from gcnsim.presets import PRESETS
 from gcnsim.protocol import (BecomeRelay, Deliver, GcnNode, ProtocolError,
                              SendAck, Transmit)
+from test_cli import every_event_scenario
 from test_golden import CASES, GOLDEN
 
 
@@ -112,15 +114,38 @@ def test_trace_bytes_match_report_totals():
 @pytest.mark.parametrize("key", [
     "targeted_collection/gcn/0", "targeted_mobile/gcn/0",
     "byte_comparison/smf/1", "resiliency_sweep/smf/0"])
-def test_trace_records_share_their_event_and_byte_count(key):
-    # a trace holds one object per event name and one per byte count, not a
-    # copy per transmission; the records' values, and so the hash, are the
+def test_trace_records_share_their_event_and_keep_numbers_in_arrays(key):
+    # a trace holds one object per event name, not a copy per transmission,
+    # and its times, nodes and byte counts as machine numbers, no int or
+    # float object per record; the records' values, and so the hash, are the
     # pinned ones
     sc, seed = CASES[key]
     trace, _ = Run(sc, seed).run()
-    for field in (2, 5):  # event, bytes
-        assert len({id(rec[field]) for rec in trace}) == len({rec[field] for rec in trace})
+    assert len({id(rec[2]) for rec in trace}) == len({rec[2] for rec in trace})
+    assert [(type(col), col.typecode) for col in (trace.time, trace.node, trace.nbytes)] \
+        == [(array, "d"), (array, "q"), (array, "q")]
     assert trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
+
+
+def _immutable(value) -> bool:
+    return (value is None or type(value) in (int, float, str)
+            or type(value) is tuple and all(map(_immutable, value)))
+
+
+@pytest.mark.parametrize("case, noroutes", [
+    ((every_event_scenario(), 0), 13), (CASES["targeted_collection/gcn/0"], 0),
+    (CASES["byte_comparison/smf/1"], 0)],
+    ids=["every_event", "targeted_collection_gcn", "byte_comparison_smf"])
+def test_every_trace_record_is_a_tuple_of_immutable_values(case, noroutes):
+    # no record shares a container the run still holds: a `noroute` record's
+    # recipients and a GCN record's MRDs are tuples
+    sc, seed = case
+    records = list(Run(sc, seed).run()[0])
+    assert records
+    for rec in records:
+        assert type(rec) is tuple and all(map(_immutable, rec)), rec
+    infos = [rec[4] for rec in records if rec[2] == "noroute"]
+    assert len(infos) == noroutes and all(type(info) is tuple and info for info in infos)
 
 
 @pytest.mark.parametrize("key,bound", [

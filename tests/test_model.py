@@ -6,7 +6,7 @@ import json
 import math
 import random
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from gcnsim.model import (STREAM_CHANNEL, STREAM_PLACEMENT,
                           ConfigurationError, MobilitySpec, Position, Scenario,
                           TimingParams, TrafficFlow, TrafficSpec, make_rng,
                           place_nodes, save_scenario, scenario_from_dict,
-                          scenario_to_dict, load_scenario, uniform_disk_point,
+                          load_scenario, uniform_disk_point,
                           validate_scenario)
 from gcnsim.presets import PRESETS
 
@@ -393,7 +393,7 @@ def test_scenario_round_trip(tmp_path):
     assert loaded == sc
 
 
-# sha256 of each preset's `scenario_to_dict` as sorted-key JSON; a changed
+# sha256 of each preset's `asdict` as sorted-key JSON; a changed
 # digest means the exported scenario files changed
 PRESET_DICT_DIGESTS = {
     "byte_comparison": "28745a79cf1f3eec",
@@ -407,17 +407,17 @@ PRESET_DICT_DIGESTS = {
 
 def test_preset_scenario_dicts_are_pinned():
     digests = {name: hashlib.sha256(json.dumps(
-        scenario_to_dict(preset.scenario), sort_keys=True).encode()).hexdigest()[:16]
+        asdict(preset.scenario), sort_keys=True).encode()).hexdigest()[:16]
         for name, preset in PRESETS.items()}
     assert digests == PRESET_DICT_DIGESTS
 
 
 def test_scenario_rejects_unknown_keys():
-    data = scenario_to_dict(Scenario())
+    data = asdict(Scenario())
     data["not_a_field"] = 1
     with pytest.raises(ConfigurationError, match="not_a_field"):
         scenario_from_dict(data)
-    data = scenario_to_dict(Scenario())
+    data = asdict(Scenario())
     data["channel"]["frobnicate"] = 1
     with pytest.raises(ConfigurationError, match="frobnicate"):
         scenario_from_dict(data)
@@ -430,7 +430,7 @@ def test_scenario_rejects_unknown_keys():
 ], ids=["equal", "alone", "differing"])
 def test_a_channel_radius_is_an_unknown_key(top_level, channel):
     # the transmit radius is the scenario's alone
-    data = scenario_to_dict(Scenario(tx_radius=top_level or Scenario().tx_radius))
+    data = asdict(Scenario(tx_radius=top_level or Scenario().tx_radius))
     if top_level is None:
         del data["tx_radius"]
     data["channel"]["tx_radius"] = channel
@@ -449,7 +449,7 @@ def test_a_channel_radius_is_an_unknown_key(top_level, channel):
 def test_a_retired_key_is_an_unknown_key(section, key, value):
     # each held one value in every preset, so each is now a constant of the
     # program; a file that still sets one, at its old default, is refused
-    data = scenario_to_dict(Scenario())
+    data = asdict(Scenario())
     (data[section] if section else data)[key] = value
     with pytest.raises(ConfigurationError, match=re.escape(
             f"{section or 'Scenario'}: unknown keys ['{key}']")):
@@ -461,7 +461,7 @@ def test_a_retired_key_is_an_unknown_key(section, key, value):
 ], ids=["flows_an_int"])
 def test_a_misshapen_list_is_a_configuration_error(section, key, value):
     # flows must be built, so a file whose flows are no list does not load
-    data = scenario_to_dict(Scenario())
+    data = asdict(Scenario())
     data[section][key] = value
     with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}: expected")):
         scenario_from_dict(data)
@@ -479,14 +479,14 @@ MISSHAPEN_CURVES = {
 @pytest.mark.parametrize("value", MISSHAPEN_CURVES.values(), ids=MISSHAPEN_CURVES)
 def test_a_misshapen_curve_loads_and_is_listed(value):
     # the loader keeps the points as written, and validation judges them
-    data = scenario_to_dict(Scenario(channel=ChannelSpec(flat_per=None)))
+    data = asdict(Scenario(channel=ChannelSpec(flat_per=None)))
     data["channel"]["curve_points"] = value
     assert validate_scenario(scenario_from_dict(data)) == [
         "channel.curve_points: must be a list of (distance, per) pairs"]
 
 
 def test_a_curve_loads_as_written():
-    data = scenario_to_dict(Scenario(channel=ChannelSpec(flat_per=None)))
+    data = asdict(Scenario(channel=ChannelSpec(flat_per=None)))
     data["channel"]["curve_points"] = [[10, 0.0], [20.5, 1]]
     sc = scenario_from_dict(data)
     assert sc.channel.curve_points == [(10, 0.0), (20.5, 1)]
@@ -506,4 +506,4 @@ def test_load_rejects_bad_json(tmp_path):
 def test_serialization_round_trip_property(n, pg, ttl):
     sc = Scenario(num_users=n, group_prob=pg, source_ttl=ttl)
     assert scenario_from_dict(json.loads(
-        json.dumps(scenario_to_dict(sc)))) == sc
+        json.dumps(asdict(sc)))) == sc
