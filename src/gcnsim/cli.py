@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .analytics import aggregate
 from .engine import Trace, run_scenario, trace_lines
-from .model import (ConfigurationError, Scenario, load_scenario,
+from .model import (PROTOCOLS, ConfigurationError, Scenario, load_scenario,
                     save_scenario, validate_scenario)
 from .presets import PRESETS, get_preset
 
@@ -121,17 +121,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     preset = get_preset(args.preset)
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    if not protocols:
-        raise ConfigurationError(f"--protocols {args.protocols!r} names no protocol")
     seeds = parse_seeds(args.seeds) if args.seeds else preset.scenario.seeds
-    scenarios = []  # every protocol is checked before any seed runs
-    for proto in protocols:
-        scenario = copy.deepcopy(preset.scenario)
-        scenario.protocol = proto
-        if _invalid(scenario, f"protocol={proto}"):
-            return 2
-        scenarios.append(scenario)
+    scenarios = [dataclasses.replace(preset.scenario, protocol=p) for p in PROTOCOLS]
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # before any seed runs
     rows = [(sc.protocol, aggregate([r for _, _, r in results])) for sc, results
@@ -159,18 +150,11 @@ def cmd_compare(args) -> int:
 
 
 def _set_param(scenario: Scenario, name: str, raw: str) -> None:
-    """Assign one scenario value by (possibly dotted) name, coercing the type
-    from the current value.  An integer part indexes a list
-    ("traffic.flows.0.rate"), and a bare name may name a field of a nested
-    spec ("base_loss")."""
+    """Assign one scenario value by its path, coercing the type from the
+    current value.  A nested spec's field is named through the spec
+    ("channel.base_loss"), and an integer part indexes a list
+    ("traffic.flows.0.rate")."""
     parts = name.split(".")
-    if len(parts) == 1 and not hasattr(scenario, parts[0]):
-        # search one level of nested specs for a bare name
-        for fld in dataclasses.fields(scenario):
-            sub = getattr(scenario, fld.name)
-            if dataclasses.is_dataclass(sub) and hasattr(sub, parts[0]):
-                parts = [fld.name, parts[0]]
-                break
     current = scenario
     for part in parts:
         target = current
@@ -273,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="write event traces")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", help="run protocols on identical worlds")
+    p = sub.add_parser("compare", help="run GCN and the flood on identical worlds")
     p.add_argument("preset")
-    p.add_argument("--protocols", default="gcn,smf")
     p.add_argument("--seeds")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)

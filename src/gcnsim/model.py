@@ -27,6 +27,8 @@ STREAM_PROTOCOL = 3
 # of them fail with probability below 0.99 ** 10_000 = 2e-44
 MAX_MEMBERSHIP_DRAWS = 10_000
 
+PROTOCOLS = ("gcn", "smf")  # GCN and its flooding baseline
+
 
 def make_rng(seed: int, domain: int, subject: int = 0) -> random.Random:
     """Return an independent PRNG stream for (seed, domain, subject)."""
@@ -195,7 +197,7 @@ def validate_scenario(sc: Scenario) -> list:
         out.append("seeds: must be non-empty")
     elif len(set(sc.seeds)) != len(sc.seeds):
         out.append("seeds: must be distinct")
-    if sc.protocol not in ("gcn", "smf"):
+    if sc.protocol not in PROTOCOLS:
         out.append("protocol: must be 'gcn' or 'smf'")
     ch = sc.channel
     if ch.flat_per is not None and not (0.0 <= ch.flat_per <= 1.0):
@@ -253,6 +255,8 @@ def validate_scenario(sc: Scenario) -> list:
             out.append(f"traffic.flows[{i}].rate: must be positive")
         if flow.payload_bytes < 0:
             out.append(f"traffic.flows[{i}].payload_bytes: must be non-negative")
+        if flow.start < 0:
+            out.append(f"traffic.flows[{i}].start: must be >= 0")
         if not (flow.start < flow.stop <= sc.duration):
             out.append(f"traffic.flows[{i}]: need start < stop <= duration")
     return out

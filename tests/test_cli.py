@@ -1,10 +1,13 @@
 """Command-line interface: argument parsing, subcommands, outputs, exit codes."""
 
+import copy
 import csv
 import hashlib
 import json
 import re
+import shlex
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -229,13 +232,14 @@ def test_sweep_produces_rows(tmp_path):
     assert any(r["metric"] == "discovered_fraction" for r in rows)
 
 
-def test_sweep_nested_and_bare_parameter_names(tmp_path):
+def test_sweep_names_a_nested_parameter_by_its_path_only(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    # bare name resolving into the nested channel spec
-    assert main(["sweep", "resiliency_sweep", "--param", "base_loss",
-                 "--values", "0.0", "--seeds", "0", "--out", str(out)]) == 0
     assert main(["sweep", "resiliency_sweep", "--param", "channel.base_loss",
                  "--values", "0.0", "--seeds", "0", "--out", str(out)]) == 0
+    # a nested spec's field has no bare spelling
+    assert main(["sweep", "resiliency_sweep", "--param", "base_loss",
+                 "--values", "0.0", "--seeds", "0"]) == 2
+    assert "error: unknown scenario parameter 'base_loss'" in capsys.readouterr().err
 
 
 def test_sweep_transmit_radius(tmp_path, capsys):
@@ -301,11 +305,18 @@ def test_check_discovery_reach_passes(capsys):
 
 
 def test_compare_runs_both_protocols(capsys):
-    assert main(["compare", "discovery_reach", "--protocols", "gcn,smf",
-                 "--seeds", "0"]) == 0
+    assert main(["compare", "discovery_reach", "--seeds", "0"]) == 0
     printed = capsys.readouterr().out
     assert "gcn" in printed and "smf" in printed
     assert "bytes_total" in printed
+
+
+def test_check_skips_a_preset_with_no_expected_values(capsys, monkeypatch):
+    jobs = []
+    monkeypatch.setattr("gcnsim.cli.run_batch", recording_batch(jobs))
+    assert main(["check", "full_matrix"]) == 0
+    assert capsys.readouterr().out == "full_matrix: no expected values, skipped\n"
+    assert jobs == []
 
 
 def no_runs(*args, **kwargs):
@@ -333,22 +344,20 @@ def test_a_repeated_seed_exits_2_before_any_seed(argv, seeds, why, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("protocols, why", [
-    (" , ", "error: --protocols ' , ' names no protocol"),
-    ("gcn,flood", "invalid scenario for protocol=flood: protocol: must be"),
-], ids=["empty", "unknown"])
-def test_compare_checks_every_protocol_before_any_seed(protocols, why, capsys,
-                                                       monkeypatch):
+def test_compare_takes_no_protocol_list(capsys, monkeypatch):
+    # compare always runs GCN beside the flood
     monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
-    assert main(["compare", "discovery_reach", "--protocols", protocols,
-                 "--seeds", "0..3"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "discovery_reach", "--protocols", "gcn", "--seeds", "0"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert why in captured.err and captured.out == ""
+    assert "unrecognized arguments: --protocols gcn" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("param, raw, path", [
     ("duration", "inf", "duration"),
-    ("forward_jitter_max", "nan", "timing.forward_jitter_max"),
+    ("timing.forward_jitter_max", "nan", "timing.forward_jitter_max"),
 ])
 def test_sweep_non_finite_value_exits_2_before_any_seed(param, raw, path, capsys,
                                                         monkeypatch):
@@ -372,6 +381,18 @@ def test_run_non_finite_flow_rate_exits_2_before_any_seed(literal, tmp_path, cap
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "invalid scenario: traffic.flows[0].rate: must be finite" in captured.err
+
+
+def test_run_flow_starting_before_zero_exits_2_before_any_seed(tmp_path, capsys,
+                                                             monkeypatch):
+    # the flow's first packet would fall before the run's clock starts
+    scenario = write_small(tmp_path)
+    scenario.write_text(scenario.read_text().replace('"start": 1.0', '"start": -1.0'))
+    monkeypatch.setattr("gcnsim.cli.run_batch", no_runs)
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid scenario: traffic.flows[0].start: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_unwritable_out_exits_2(tmp_path, capsys):
@@ -452,6 +473,16 @@ def test_sweep_param_paths(preset, param, raw, why, capsys, monkeypatch):
     else:
         assert code == 2 and jobs == []
         assert why in captured.err and captured.out == ""
+
+
+def test_sweep_sets_an_optional_period_to_null(monkeypatch):
+    jobs = []
+    monkeypatch.setattr("gcnsim.cli.run_batch", recording_batch(jobs))
+    assert main(["sweep", "mobile_connectivity", "--param", "timing.rediscovery_period",
+                 "--values", "100,null", "--seeds", "0"]) == 0
+    periods = [scenario.timing.rediscovery_period for scenario, _, _ in jobs]
+    assert periods == [100.0, None]
+    assert type(periods[0]) is float
 
 
 IDENTITY_ARGVS = {
@@ -563,3 +594,24 @@ def test_a_sweep_maps_every_job_over_one_pool(workers, cpus, pools, tmp_path,
         rows = list(csv.DictReader(fh))
     assert [r["value"] for r in rows if r["metric"] == "discovered_fraction"] == \
         ["1", "2", "3", "4", "5", "6"]
+
+
+def test_every_readme_cli_line_parses():
+    """Each `gcnsim` command of README's `## CLI` block, with `\\`
+    continuations joined, `# ...` comments dropped and `[--trace]` read as
+    `--trace`, parses, and a swept parameter is a path the sweep resolves."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].replace("[--trace]", "--trace").strip()
+             for line in block.replace("\\\n", " ").splitlines()]
+    lines = [line for line in lines if line.startswith("gcnsim ")]
+    assert len(lines) == 8
+    for line in lines:
+        try:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README's CLI line does not parse: {line}")
+        if args.command == "sweep":
+            cli._set_param(copy.deepcopy(get_preset(args.preset).scenario),
+                           args.param, args.values.split(",")[0])

@@ -109,6 +109,25 @@ def test_every_pinned_case_still_runs():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
+@pytest.mark.parametrize("key", [f"{name}/smf/{seed}" for seed in SEEDS
+                                 for name in ("discovery_reach", "mobile_connectivity")])
+def test_a_flood_with_no_flow_pins_only_the_empty_trace(key):
+    """A preset with no traffic flow gives the flood nothing to send, so its
+    key pins the sha256 of no bytes; only its GCN sibling, which discovers,
+    pins a trace."""
+    name, _, seed = key.split("/")
+    assert PRESETS[name].scenario.traffic.flows == []
+    run = Run(*CASES[key])
+    trace, report = run.run()
+    assert run._seq == 0 and len(trace) == 0
+    assert report.to_scalars()["bytes_total"] == 0
+    golden = json.loads(GOLDEN.read_text())
+    empty = hashlib.sha256(b"").hexdigest()
+    assert golden[key]["trace"] == empty
+    sibling = golden[f"{name}/gcn/{seed}"]
+    assert sibling["trace"] != empty and sibling["scalars"]["bytes_control"] > 0
+
+
 def _check_receptions_in_id_order(sc) -> None:
     run = Run(sc, 0)
     receive = run._receive

@@ -164,6 +164,9 @@ BAD_FIELDS = {
         pattern="targeted", dests=[0, 100], stop=5.0)])), "flows[0].dests"),
     "payload_negative": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
         payload_bytes=-5, stop=5.0)])), "flows[0].payload_bytes"),
+    # the first packet would fall before the clock starts at 0
+    "start_negative": (dict(traffic=TrafficSpec(flows=[TrafficFlow(
+        start=-0.5, stop=5.0)])), "traffic.flows[0].start: must be >= 0"),
     "tx_radius_nan": (dict(tx_radius=float("nan")), "tx_radius"),
     # a curve beside the default flat_per 0.0, which would win: a loss-free run
     "curve_beside_flat_per": (
