@@ -1,8 +1,8 @@
 """Who is within the radius, decided here and nowhere else, by one rule:
-`dx*dx + dy*dy <= r*r`.  `unit_disk_adjacency` answers it for every pair (the
-graph whose rows the channel samples, static or mobile, and that gives the
-flood oracle its hop counts), and `reached_count` along a depth-first
-connectivity search that builds no graph.
+`dx*dx + dy*dy <= r*r`.  `unit_disk_adjacency` answers it for every pair,
+testing only pairs in one radius-wide cell or in adjacent ones (the graph whose
+rows the channel samples, static or mobile, and the flood oracle's hop counts),
+and `reached_count` along a depth-first connectivity search that builds no graph.
 """
 
 from __future__ import annotations
@@ -15,26 +15,38 @@ _WIDEN = 1.0 + 1e-6
 
 
 def unit_disk_adjacency(positions: dict, tx_radius: float) -> dict:
-    """positions: NodeId -> Position.  Returns NodeId -> neighbours by id.
+    """positions: NodeId -> Position.  Returns NodeId -> neighbours by id,
+    with keys and rows in id order.
 
     Nodes are bucketed on square cells at least one radius wide, so every
     pair in range lies in one cell or in two adjacent ones.  Each candidate
-    pair is tested once: a cell against itself and against its four forward
-    neighbours, so that every pair of adjacent cells meets exactly once."""
+    pair is tested once: first a cell's own pairs, by index, then the cell
+    against its four forward neighbours, so that every pair of adjacent
+    cells meets exactly once."""
     adj = {i: [] for i in sorted(positions)}
     width, r2 = tx_radius * _WIDEN, tx_radius * tx_radius
+    floor = math.floor
     cells = defaultdict(list)
-    for i, p in positions.items():
-        cells[math.floor(p.x / width), math.floor(p.y / width)].append((i, p.x, p.y))
+    for i, (x, y) in positions.items():
+        cells[floor(x / width), floor(y / width)].append((i, x, y))
+    get = cells.get
     for (cx, cy), here in cells.items():
-        for key in ((cx, cy), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1),
-                    (cx, cy + 1)):
-            there = cells.get(key)
+        last = len(here)
+        for a in range(last - 1):
+            i, x, y = here[a]
+            row = adj[i]
+            for b in range(a + 1, last):
+                j, qx, qy = here[b]
+                if (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2:
+                    row.append(j)
+                    adj[j].append(i)
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            there = get(key)
             if there is None:
                 continue
-            for n, (i, x, y) in enumerate(here, 1):
+            for i, x, y in here:
                 row = adj[i]
-                for j, qx, qy in (here[n:] if there is here else there):
+                for j, qx, qy in there:
                     if (x - qx) * (x - qx) + (y - qy) * (y - qy) <= r2:
                         row.append(j)
                         adj[j].append(i)

@@ -49,7 +49,8 @@ def uniform_disk_point(rng: random.Random, radius: float) -> Position:
     """Draw a point uniformly from the disk of the given radius about the origin."""
     r = radius * math.sqrt(rng.random())
     theta = rng.random() * 2.0 * math.pi
-    return Position(r * math.cos(theta), r * math.sin(theta))
+    # a cheaper Position(x, y): skips NamedTuple's __new__
+    return tuple.__new__(Position, (r * math.cos(theta), r * math.sin(theta)))
 
 
 @dataclass
@@ -284,7 +285,7 @@ def place_nodes(sc: Scenario, rng: random.Random):
         raise ConfigurationError("cannot place zero nodes")
     radius = placement_radius(sc)
     positions = [uniform_disk_point(rng, radius) for _ in range(sc.num_users)]
-    inner = [p.distance_to(Position(0.0, 0.0)) <= sc.region_radius for p in positions]
+    inner = [math.hypot(x, y) <= sc.region_radius for x, y in positions]
     for _ in range(MAX_MEMBERSHIP_DRAWS):
         flags = [inner[i] and rng.random() < sc.group_prob for i in range(sc.num_users)]
         if any(flags):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import channel_row, run_on, small_scenario
-from gcnsim.analytics import connectivity_sample
+from gcnsim.analytics import build_world, connectivity_sample
 from gcnsim.channel import default_curve_points, per_at
 from gcnsim.engine import Run
 from gcnsim.geometry import unit_disk_adjacency
 from gcnsim.model import ChannelSpec, MobilitySpec, Position, uniform_disk_point
+from gcnsim.presets import PRESETS
 
 
 # --- brute-force references -----------------------------------------------
@@ -105,6 +106,20 @@ def test_cell_list_adjacency_equals_pairwise_loop(world):
     want = pairwise_adjacency(positions, r)
     assert adj == want
     assert list(adj) == list(want)  # keys in id order, as before
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cell_list_adjacency_equals_pairwise_loop_at_preset_density(name):
+    # `placements` draws at most 40 points; byte_comparison places 400, about
+    # five to a cell, so each cell has many pairs of its own
+    sc = PRESETS[name].scenario
+    for seed in range(5):
+        nodes, _ = build_world(sc, seed)
+        positions = {i: pos for i, pos, _ in nodes}
+        adj = unit_disk_adjacency(positions, sc.tx_radius)
+        want = pairwise_adjacency(positions, sc.tx_radius)
+        assert adj == want
+        assert list(adj) == list(want)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import math
 import random
 import re
 from dataclasses import asdict, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -85,7 +86,55 @@ def test_uniform_disk_is_radially_uniform():
     assert chi2 < 27.9
 
 
+def test_uniform_disk_point_is_a_position_of_the_drawn_coordinates():
+    for seed in range(20):
+        p = uniform_disk_point(random.Random(seed), 50.0)
+        rng = random.Random(seed)
+        r = 50.0 * math.sqrt(rng.random())
+        theta = rng.random() * 2.0 * math.pi
+        assert type(p) is Position
+        assert p == Position(p.x, p.y)
+        assert repr(p) == f"Position(x={p.x!r}, y={p.y!r})"
+        assert (p.x, p.y) == (r * math.cos(theta), r * math.sin(theta))
+
+
 # --- placement ------------------------------------------------------------
+
+def reference_place_nodes(sc: Scenario, rng: random.Random):
+    """`place_nodes` as it was before its points skipped NamedTuple's
+    constructor and its inner-disk test built no origin `Position`, kept as
+    the reference."""
+    radius = sc.outer_radius if sc.outer_radius is not None else sc.region_radius
+    positions = []
+    for _ in range(sc.num_users):
+        r = radius * math.sqrt(rng.random())
+        theta = rng.random() * 2.0 * math.pi
+        positions.append(Position(r * math.cos(theta), r * math.sin(theta)))
+    inner = [p.distance_to(Position(0.0, 0.0)) <= sc.region_radius for p in positions]
+    while True:
+        flags = [inner[i] and rng.random() < sc.group_prob for i in range(sc.num_users)]
+        if any(flags):
+            return [(i, positions[i], flags[i]) for i in range(sc.num_users)]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_placement_equals_reference(name):
+    sc = PRESETS[name].scenario
+    for seed in range(20):
+        nodes = place_nodes(sc, make_rng(seed, STREAM_PLACEMENT))
+        assert nodes == reference_place_nodes(sc, make_rng(seed, STREAM_PLACEMENT))
+        assert all(type(pos) is Position for _, pos, _ in nodes)
+
+
+def test_placement_node_on_the_inner_radius_can_be_a_member():
+    # draws 0.25 and 0.0 put the node at r = 200 * sqrt(0.25) = 100, theta = 0
+    sc = Scenario(region_radius=100.0, outer_radius=200.0, num_users=1,
+                  group_prob=0.5)
+    draws = SimpleNamespace(random=iter([0.25, 0.0, 0.0]).__next__)
+    [(_, pos, flag)] = place_nodes(sc, draws)
+    assert pos == Position(100.0, 0.0)
+    assert flag
+
 
 def test_placement_membership_binomial():
     sc = Scenario(num_users=100, group_prob=0.25)
