@@ -5,6 +5,13 @@ A flat PER is priced once per run, and a transmission samples the sender's
 unit-disk row with it; only a curve of distance prices pairs.  The overlay
 follows the success-rate scaling rule: the effective success probability
 at distance d is (1 - base_loss) * (1 - per(d)).
+
+`sample` is the one sampling rule: without a draw, an entry whose PER is 0
+hears and a flat channel's certain loss leaves every entry unheard; any
+other entry hears when its one draw from the channel stream is at least
+its PER.  It hands each hearer to a consumer as soon as that hearer is
+drawn, so no hearer list is built; the consumer runs between draws, in row
+order, and must not draw from the channel stream.
 """
 
 from __future__ import annotations
@@ -51,20 +58,29 @@ def per_at(spec: ChannelSpec, d: float) -> float:
     return 1.0 - (1.0 - spec.base_loss) * (1.0 - per)
 
 
-def hearers(row: list, per, rng: random.Random) -> list:
-    """Sample who hears one transmission, in row order.
+def sample(row: list, per, rng: random.Random, take, pkt, sender) -> None:
+    """Sample who hears one transmission, and call `take(node, pkt, sender)`
+    for each hearer as it is drawn, in row order.
 
     A flat channel passes the sender's unit-disk row (ids in id order) and
-    its one PER: at per <= 0 the row itself is returned (not to be changed)
-    and at per >= 1 nobody hears.  A curve passes per None and a priced row
-    [(NodeId, per)], each per < 1.  Either way one `rng.random()` is drawn
-    per entry with 0 < per < 1, in row order, so the stream is reproducible.
+    its one PER: at per <= 0 every entry hears and nothing is drawn, at
+    per >= 1 nobody hears, and otherwise an entry hears when its draw is
+    >= per.  A curve passes per None and a priced row [(NodeId, per)], each
+    per < 1: an entry hears when its per is <= 0 or its draw is >= its per.
+    Either way one `rng.random()` is drawn per lossy entry, in row order, so
+    the stream is reproducible.  `take` runs between draws, so it must
+    neither draw from `rng` nor change `row`.
     """
     if per is None:
-        return [node for node, p in row if p <= 0.0 or rng.random() >= p]
-    if per <= 0.0:
-        return row
-    if per >= 1.0:
-        return []
-    rnd = rng.random
-    return [node for node in row if rnd() >= per]
+        rnd = rng.random
+        for node, p in row:
+            if p <= 0.0 or rnd() >= p:
+                take(node, pkt, sender)
+    elif per <= 0.0:
+        for node in row:
+            take(node, pkt, sender)
+    elif per < 1.0:
+        rnd = rng.random
+        for node in row:
+            if rnd() >= per:
+                take(node, pkt, sender)

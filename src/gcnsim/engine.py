@@ -11,8 +11,11 @@ connectivity sample, which only a GCN run takes).  Only a series' first
 event is pushed at set-up; each event pushes the next one when it runs,
 under the key the first one got.  At one instant, periodic events thus run
 in set-up order, before anything pushed during the run.  A transmission's
-receptions run inline unless another event is due at the same instant, so
-the sequence counts heap pushes, not events.
+receptions run inline, each as soon as the channel draws its hearer, unless
+another event is due at the same instant; then they are queued as one heap
+entry, so the sequence counts heap pushes, not events.  Only the channel
+draws from the channel stream, and handlers push events but never pop one,
+so receptions run between draws change neither the draws nor their order.
 
 The engine reads deliveries, discovery reach and the epoch from the nodes,
 and each GCN node learns only the hop distances the run's targeted flows read.
@@ -301,19 +304,20 @@ class Run:
             row = (self._unit_disk or self._graph())[sender]
         elif (row := self._priced_rows.get(sender)) is None:
             row = self._priced_rows[sender] = self._neighbor_row(sender)
-        hearers = channel_mod.hearers(row, per, self.channel_rng)
-        if not hearers:
-            return
         heap = self._heap
-        if heap and heap[0][0] <= self.now:
-            # another event is due at this instant: queue the receptions
-            # behind it, as one entry for all hearers
-            self._push(self.now, _RX, (pkt, sender), hearers)
+        if not heap or heap[0][0] > self.now:
+            # an entry pushed now would be popped next, so each hearer's
+            # reception runs as soon as the channel has drawn it
+            channel_mod.sample(row, per, self.channel_rng, self._receive, pkt, sender)
             return
-        # an entry pushed now would be popped next, so deliver it at once
-        receive = self._receive
-        for node_id in hearers:
-            receive(node_id, pkt, sender)
+        # another event is due at this instant: queue the receptions behind
+        # it, as one entry for all hearers
+        heard = []
+        channel_mod.sample(row, per, self.channel_rng,
+                           lambda node_id, _pkt, _sender: heard.append(node_id),
+                           pkt, sender)
+        if heard:
+            self._push(self.now, _RX, (pkt, sender), heard)
 
     def _receive(self, node_id: int, pkt, sender: int) -> None:
         node = self.nodes[node_id]

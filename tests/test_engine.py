@@ -461,8 +461,9 @@ class PushingRun(Run):
             self.report.bytes_data += nbytes
         if self.collect_trace:
             info = (pkt.ttl if pkt.ttl is not None
-                    else [m for _, m in pkt.destinations])
-            self._record(sender, "tx:" + pkt.kind, pkt.msg_id, info, nbytes)
+                    else tuple([m for _, m in pkt.destinations]))
+            self._record(sender, engine_mod._TX_EVENTS[pkt.kind], pkt.msg_id,
+                         info, nbytes)
         if self._mobile:
             self._sync_positions()
         per = self._flat_per
@@ -470,9 +471,12 @@ class PushingRun(Run):
             row = self._graph()[sender]
         elif (row := self._priced_rows.get(sender)) is None:
             row = self._priced_rows[sender] = self._neighbor_row(sender)
-        hearers = engine_mod.channel_mod.hearers(row, per, self.channel_rng)
-        if hearers:
-            self._push(self.now, engine_mod._RX, (pkt, sender), hearers)
+        heard = []
+        engine_mod.channel_mod.sample(row, per, self.channel_rng,
+                                      lambda node, _pkt, _sender: heard.append(node),
+                                      pkt, sender)
+        if heard:
+            self._push(self.now, engine_mod._RX, (pkt, sender), heard)
 
 
 def _lossy_static_flood():
@@ -484,8 +488,13 @@ def _lossy_static_flood():
     (CASES["resiliency_no_jitter/gcn/0"], True),
     (CASES["resiliency_no_jitter/smf/1"], False),
     ((_lossy_static_flood(), 0), False),
-    (CASES["targeted_mobile/gcn/1"], False)],
-    ids=["no_jitter_gcn", "no_jitter_smf", "static_flood", "mobile_gcn"])
+    (CASES["targeted_mobile/gcn/1"], False),
+    # GCN handlers run between the draws of a lossy flat channel
+    (CASES["resiliency_r5_loss50/gcn/1"], False),
+    # curve rows
+    (CASES["full_matrix/smf/0"], False)],
+    ids=["no_jitter_gcn", "no_jitter_smf", "static_flood", "mobile_gcn",
+         "lossy_gcn", "curve_smf"])
 def test_inline_delivery_matches_pushing_every_reception(case, both_branches):
     sc, seed = case
     inline, pushing = CountingRun(sc, seed), PushingRun(sc, seed)
