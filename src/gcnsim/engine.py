@@ -10,12 +10,12 @@ series (rediscovery, distance refresh, each traffic stream, and the
 connectivity sample, which only a GCN run takes).  Only a series' first
 event is pushed at set-up; each event pushes the next one when it runs,
 under the key the first one got.  At one instant, periodic events thus run
-in set-up order, before anything pushed during the run.  A transmission's
-receptions run inline, each as soon as the channel draws its hearer, unless
-another event is due at the same instant; then they are queued as one heap
-entry, so the sequence counts heap pushes, not events.  Only the channel
-draws from the channel stream, and handlers push events but never pop one,
-so receptions run between draws change neither the draws nor their order.
+in set-up order, before anything pushed during the run.  A transmission
+pushes nothing: its receptions run inline, each as soon as the channel draws
+its hearer, so they run before anything else due at its instant.  Only the
+channel draws from the channel stream, and handlers push events but never
+pop one or transmit, so no reception runs inside another, and receptions run
+between draws change neither the draws nor their order.
 
 The engine reads deliveries, discovery reach and the epoch from the nodes,
 and each GCN node learns only the hop distances the run's targeted flows read.
@@ -45,8 +45,8 @@ from .smf import SmfNode, min_ttl_oracle
 TICKS_PER_S = 10  # mobility ticks fall at k / TICKS_PER_S, k = 1, 2, ...
 SAMPLE_PERIOD = 1.0
 
-# event kinds, ordered only by (time, key)
-_RX, _TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(7)
+# event kinds, ordered only by (time, key); a reception is no event
+_TX, _ACK_DUE, _TRAFFIC, _SAMPLE, _DISCOVER, _REFRESH = range(6)
 
 # a transmission's trace event, one string per packet kind: every record of
 # a kind holds the same object instead of a copy built per transmission
@@ -304,20 +304,7 @@ class Run:
             row = (self._unit_disk or self._graph())[sender]
         elif (row := self._priced_rows.get(sender)) is None:
             row = self._priced_rows[sender] = self._neighbor_row(sender)
-        heap = self._heap
-        if not heap or heap[0][0] > self.now:
-            # an entry pushed now would be popped next, so each hearer's
-            # reception runs as soon as the channel has drawn it
-            channel_mod.sample(row, per, self.channel_rng, self._receive, pkt, sender)
-            return
-        # another event is due at this instant: queue the receptions behind
-        # it, as one entry for all hearers
-        heard = []
-        channel_mod.sample(row, per, self.channel_rng,
-                           lambda node_id, _pkt, _sender: heard.append(node_id),
-                           pkt, sender)
-        if heard:
-            self._push(self.now, _RX, (pkt, sender), heard)
+        channel_mod.sample(row, per, self.channel_rng, self._receive, pkt, sender)
 
     def _receive(self, node_id: int, pkt, sender: int) -> None:
         node = self.nodes[node_id]
@@ -443,12 +430,7 @@ class Run:
             if time < self.now - 1e-12:
                 raise RuntimeError("event time went backwards")
             self.now = time
-            if kind == _RX:  # only when another event shared the instant
-                pkt, sender = a
-                receive = self._receive
-                for node_id in b:
-                    receive(node_id, pkt, sender)
-            elif kind == _TX:
+            if kind == _TX:
                 self._transmit(a, b)
             elif kind == _ACK_DUE:
                 self._apply_actions(a, self.nodes[a].make_ack())

@@ -1,5 +1,5 @@
 """Flooding baseline: TTL-scoped rebroadcast with duplicate detection, and
-the oracle that picks the fair minimum TTL for group-wide reach.
+the oracle that gives each flood its TTL, the group's hop eccentricity.
 
 A node takes, delivers and forwards a message at its first copy only, so
 `on_data` returns [] for a copy it holds in `dup_cache` and changes nothing.
@@ -45,14 +45,17 @@ class SmfNode(ProtocolNode):
         return actions
 
 
-# --- fair-TTL oracle ------------------------------------------------------
+# --- flood-TTL oracle -----------------------------------------------------
 
 def min_ttl_oracle(adj: dict, group: set, source: NodeId) -> int:
-    """The TTL covering every group member on the unit-disk graph `adj` from
-    `source`: the group's hop eccentricity.  With forwarding jitter, a copy
-    that came the long way can still arrive first, with less TTL left, and
-    starve a member.  If part of the group is unreachable, the TTL covering
-    the reachable members is returned with a warning.
+    """The group's hop eccentricity from `source` on the unit-disk graph
+    `adj`.  A flood sent with TTL `t` reaches `t + 1` hops, since the last
+    forwarded copy's hearers deliver without forwarding, so this TTL carries
+    one ring of rebroadcasts beyond a lossless cover of the group.  With
+    forwarding jitter, a copy that came the long way can still arrive first,
+    with less TTL left, and starve a member.  If part of the group is
+    unreachable, the eccentricity of the reachable members is returned with a
+    warning.
     """
     if not group:
         raise ValueError("empty group")

@@ -429,29 +429,38 @@ def test_every_mobile_flood_send_carries_the_hop_eccentricity_at_that_instant(
 # --- inline delivery -----------------------------------------------------
 
 class CountingRun(Run):
-    """A Run that counts its heap pushes by kind and the transmissions whose
-    receptions it ran (consecutive receptions of one packet from one sender)."""
+    """A Run that counts its heap pushes by kind, the pushes a transmission
+    makes outside its receptions' handlers, and the transmissions made while
+    another event is due at `now`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.pushes = Counter()
-        self.heard = 0
-        self._last = None
+        self.tx_pushes = 0
+        self.tied = 0
+        self._transmitting = False
 
     def _push(self, time, kind, a=None, b=None, key=None):
         self.pushes[kind] += 1
+        self.tx_pushes += self._transmitting
         super()._push(time, kind, a, b, key)
 
+    def _transmit(self, sender, pkt):
+        heap = self._heap
+        self.tied += bool(heap) and heap[0][0] <= self.now
+        self._transmitting = True
+        super()._transmit(sender, pkt)
+        self._transmitting = False
+
     def _receive(self, node_id, pkt, sender):
-        if self._last is None or self._last[0] is not pkt or self._last[1] != sender:
-            self._last = (pkt, sender)
-            self.heard += 1
+        self._transmitting = False
         super()._receive(node_id, pkt, sender)
+        self._transmitting = True
 
 
 class PushingRun(Run):
-    """The reference: every transmission heard by anyone pushes one `_RX`
-    entry at `now`, which `run` pops and delivers."""
+    """The reference: a transmission collects all its hearers first, then
+    runs their receptions in order, before anything else due at `now`."""
 
     def _transmit(self, sender, pkt):
         nbytes = pkt.wire_bytes()
@@ -475,18 +484,19 @@ class PushingRun(Run):
         engine_mod.channel_mod.sample(row, per, self.channel_rng,
                                       lambda node, _pkt, _sender: heard.append(node),
                                       pkt, sender)
-        if heard:
-            self._push(self.now, engine_mod._RX, (pkt, sender), heard)
+        for node in heard:
+            self._receive(node, pkt, sender)
 
 
-def _lossy_static_flood():
+def _lossy_static_flood(**overrides):
     return small_scenario(protocol="smf", channel=ChannelSpec(flat_per=0.25),
-                          traffic=flows(one_to_all_flow(senders="all_members")))
+                          traffic=flows(one_to_all_flow(senders="all_members")),
+                          **overrides)
 
 
-@pytest.mark.parametrize("case, both_branches", [
+@pytest.mark.parametrize("case, ties", [
     (CASES["resiliency_no_jitter/gcn/0"], True),
-    (CASES["resiliency_no_jitter/smf/1"], False),
+    (CASES["resiliency_no_jitter/smf/1"], True),
     ((_lossy_static_flood(), 0), False),
     (CASES["targeted_mobile/gcn/1"], False),
     # GCN handlers run between the draws of a lossy flat channel
@@ -495,7 +505,7 @@ def _lossy_static_flood():
     (CASES["full_matrix/smf/0"], False)],
     ids=["no_jitter_gcn", "no_jitter_smf", "static_flood", "mobile_gcn",
          "lossy_gcn", "curve_smf"])
-def test_inline_delivery_matches_pushing_every_reception(case, both_branches):
+def test_inline_delivery_matches_pushing_every_reception(case, ties):
     sc, seed = case
     inline, pushing = CountingRun(sc, seed), PushingRun(sc, seed)
     trace, report = inline.run()
@@ -503,19 +513,43 @@ def test_inline_delivery_matches_pushing_every_reception(case, both_branches):
     assert trace_hash(trace) == trace_hash(ref_trace)
     assert report.to_scalars() == ref_report.to_scalars()
     assert inline.channel_rng.getstate() == pushing.channel_rng.getstate()
-    if both_branches:
+    if ties:
         # without jitter most transmissions share an instant with another
-        # event and take the pushed branch; a few still run inline
-        assert 0 < inline.pushes[engine_mod._RX] < inline.heard
+        # event, and their receptions still run before it
+        assert inline.tied > 0
 
 
 def test_rx_pushes_are_rare_with_the_default_jitter():
-    run = CountingRun(_lossy_static_flood(), 0)
+    """A transmission pushes nothing, with the default jitter and without."""
+    for jitter in (0.001, 0.0):
+        run = CountingRun(_lossy_static_flood(
+            timing=TimingParams(forward_jitter_max=jitter)), 0)
+        trace, _ = run.run()
+        transmissions = sum(1 for rec in trace if rec[2].startswith("tx:"))
+        assert transmissions > 100
+        assert run.tx_pushes == 0
+        assert run._seq == sum(run.pushes.values())
+
+
+@pytest.mark.parametrize("protocol", ["gcn", "smf"])
+def test_a_transmissions_receptions_run_before_anything_else_due_at_its_instant(
+        protocol):
+    """Without jitter every forward shares its instant with other events, and
+    a delivery still follows the transmission of its own message: no other
+    transmission comes between a copy's send and its receptions."""
+    run = CountingRun(small_scenario(
+        protocol=protocol, timing=TimingParams(forward_jitter_max=0.0),
+        traffic=flows(one_to_all_flow(senders="all_members"))), 0)
     trace, _ = run.run()
-    transmissions = sum(1 for rec in trace if rec[2].startswith("tx:"))
-    assert transmissions > 100
-    assert run.pushes[engine_mod._RX] <= 0.05 * transmissions
-    assert run._seq == sum(run.pushes.values())
+    assert run.tied > 0
+    last_sent, delivered = None, 0
+    for rec in trace:
+        if rec[2] == "tx:data":
+            last_sent = rec[3]
+        elif rec[2] == "deliver":
+            assert rec[3] == last_sent, rec
+            delivered += 1
+    assert delivered > 100
 
 
 # --- periodic series -------------------------------------------------------

@@ -153,8 +153,8 @@ def test_each_transmission_reaches_every_neighbour_in_id_order():
     """On a loss-free static channel every transmission calls `Run._receive`
     once per node of the sender's unit-disk row, in id order, and the
     receptions of one transmission are not interleaved with any other.
-    Without jitter, transmissions share instants, so receptions also take the
-    engine's queued path."""
+    Without jitter, transmissions share instants with other events, and each
+    one's receptions still run before anything else due then."""
     for jitter in (0.001, 0.0):
         _check_receptions_in_id_order(small_scenario(
             traffic=TrafficSpec(flows=[one_to_all_flow()]),

@@ -1,4 +1,4 @@
-"""Flooding baseline node behavior and the fair minimum-TTL oracle."""
+"""Flooding baseline node behavior and the flood-TTL oracle."""
 
 import random
 import warnings
@@ -7,9 +7,10 @@ from functools import partial
 import networkx as nx
 import pytest
 
-from conftest import line_positions, run_on
+import gcnsim.engine as engine_mod
+from conftest import line_positions, one_to_all_flow, run_on
 from gcnsim.geometry import bfs_hops, unit_disk_adjacency
-from gcnsim.model import Position
+from gcnsim.model import Position, TrafficSpec
 from gcnsim.packets import Packet
 from gcnsim.protocol import Deliver, Transmit
 from gcnsim.smf import SmfNode, min_ttl_oracle
@@ -163,6 +164,22 @@ def test_min_ttl_flood_actually_reaches_group(monkeypatch):
         if ttl >= 2 and not group <= flood(ttl - 2):
             missed_at_lower += 1
     assert missed_at_lower > 0  # the oracle tracks the group eccentricity
+
+
+@pytest.mark.parametrize("ttl, delivered", [(None, 2), (4, 2), (3, 0)],
+                         ids=["oracle", "oracle_minus_1", "oracle_minus_2"])
+def test_a_flood_of_ttl_t_reaches_t_plus_one_hops_on_the_engine(
+        monkeypatch, ttl, delivered):
+    """On a 6-node line the oracle gives member 5 its distance, 5, but the
+    hearers of the last forwarded copy deliver too: TTL 4 already reaches it
+    on the engine, and TTL 3 does not."""
+    if ttl is not None:
+        monkeypatch.setattr(engine_mod, "min_ttl_oracle", lambda *args: ttl)
+    run = run_on(monkeypatch, line_positions(6), members={0, 5}, protocol="smf",
+                 tx_radius=30.0, traffic=TrafficSpec(flows=[one_to_all_flow()]))
+    _, report = run.run()
+    assert report.smf_ttl == (5 if ttl is None else ttl)
+    assert report.delivery_per_flow == [(delivered, 2)]
 
 
 def test_min_ttl_disconnected_group_warns():
