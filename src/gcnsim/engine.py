@@ -28,6 +28,7 @@ import heapq
 import json
 from array import array
 from functools import partial
+from itertools import repeat
 
 from . import channel as channel_mod
 from .analytics import MetricsReport, build_world, connectivity_sample
@@ -55,9 +56,10 @@ _TX_EVENTS = {kind: "tx:" + kind for kind in ("discovery", "ack", "data")}
 
 class Trace:
     """A run's trace records, kept by field: arrays of times, nodes and byte
-    counts, and lists of events, msg_ids and infos, all immutable.  Iterating
-    yields each record as a `(time, node, event, msg_id, info, bytes)` tuple,
-    and `len()` counts them; `Run._record` is the only writer."""
+    counts, and lists of events, msg_ids and infos, all immutable.  A time is
+    the engine's unrounded `now`, rounded to 9 decimals where it is read or
+    written: iterating yields `(round(time, 9), node, event, msg_id, info,
+    bytes)` tuples.  `len()` counts them; `Run._record` is the only writer."""
 
     __slots__ = ("time", "node", "event", "msg_id", "info", "nbytes")
 
@@ -69,34 +71,45 @@ class Trace:
         return len(self.time)
 
     def __iter__(self):
-        return zip(self.time, self.node, self.event, self.msg_id, self.info, self.nbytes)
+        return zip(map(round, self.time, repeat(9)), self.node, self.event,
+                   self.msg_id, self.info, self.nbytes)
 
 
 def trace_lines(trace: Trace):
-    """A trace's one written form: a JSON line per record of `trace`, or of
-    any iterable of record tuples, as `json.dumps` writes its dict (README.md),
-    formatted directly: ints and float times print as JSON does, and only an
-    `info` that is neither None nor an int is dumped (a tuple as a list)."""
+    """A trace's one written form: a JSON line per record, as `json.dumps`
+    writes its dict (README.md), formatted directly.  A time prints as
+    `repr(round(time, 9))`, in [1e-4, 1e6) as `'%.9f'` less trailing zeros:
+    the same correctly rounded 9-place decimal, of at most 15 significant
+    digits.  Ints print as JSON does; only an `info` neither None nor an int
+    is dumped (a tuple as a list).  A record's tail is formatted once per byte
+    count and identity of its objects (`True == 1`, and a list is unhashable;
+    each lives in the trace, so no id is reused within a call)."""
     names = {}  # event name -> its JSON string
-    for time, node, event, msg_id, info, nbytes in trace:
-        name = names.get(event)
-        if name is None:
-            name = names[event] = json.dumps(event)
-        mid = f"[{msg_id[0]}, {msg_id[1]}]" if msg_id else "null"
-        if info is None:
-            info = "null"
-        elif type(info) is not int:
-            info = json.dumps(info)
-        yield (f'{{"time": {time!r}, "node": {node}, "event": {name}, '
-               f'"msg_id": {mid}, "info": {info}, "bytes": {nbytes}}}\n')
+    tails = {}  # (id(event), id(msg_id), id(info), bytes) -> the line's tail
+    for t, node, event, msg_id, info, nbytes in zip(
+            trace.time, trace.node, trace.event, trace.msg_id, trace.info, trace.nbytes):
+        key = (id(event), id(msg_id), id(info), nbytes)
+        tail = tails.get(key)
+        if tail is None:
+            name = names.get(event)
+            if name is None:
+                name = names[event] = json.dumps(event)
+            mid = f"[{msg_id[0]}, {msg_id[1]}]" if msg_id else "null"
+            if info is None:
+                info = "null"
+            elif type(info) is not int:
+                info = json.dumps(info)
+            tail = tails[key] = (f'"event": {name}, "msg_id": {mid}, '
+                                 f'"info": {info}, "bytes": {nbytes}}}\n')
+        time = ("%.9f" % t).rstrip("0") if 1e-4 <= t < 1e6 else repr(round(t, 9))
+        if time[-1] == ".":
+            time += "0"
+        yield f'{{"time": {time}, "node": {node}, {tail}'
 
 
 def trace_hash(trace: Trace) -> str:
     """sha256 of the lines `trace_lines` writes: `sha256sum` of the file."""
-    h = hashlib.sha256()
-    for line in trace_lines(trace):
-        h.update(line.encode())
-    return h.hexdigest()
+    return hashlib.sha256("".join(trace_lines(trace)).encode()).hexdigest()
 
 
 class Run:
@@ -112,6 +125,7 @@ class Run:
         self.seed = seed
         self.collect_trace = collect_trace
         self.trace = Trace()
+        self._mrd_infos: dict = {}
         self.now = 0.0
         self._seq = 0
         self._heap: list = []
@@ -251,9 +265,11 @@ class Run:
     # -- trace / metrics helpers ------------------------------------------
 
     def _record(self, node, event, msg_id=None, info=None, nbytes=0) -> None:
+        """Keep a record at the unrounded `now`: a `Trace` rounds its times to
+        9 decimals where they are read or written."""
         if self.collect_trace:
             t = self.trace
-            t.time.append(round(self.now, 9))
+            t.time.append(self.now)
             t.node.append(node)
             t.event.append(event)
             t.msg_id.append(msg_id)
@@ -294,8 +310,10 @@ class Run:
         else:
             self.report.bytes_data += nbytes
         if self.collect_trace:
-            info = (pkt.ttl if pkt.ttl is not None
-                    else tuple([m for _, m in pkt.destinations]))
+            info = pkt.ttl
+            if info is None:  # the MRDs: equal int tuples share one object
+                info = tuple([m for _, m in pkt.destinations])
+                info = self._mrd_infos.setdefault(info, info)
             self._record(sender, _TX_EVENTS[pkt.kind], pkt.msg_id, info, nbytes)
         if self._mobile:
             self._sync_positions()

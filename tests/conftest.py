@@ -28,6 +28,18 @@ def small_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def trace_of(records) -> engine_mod.Trace:
+    """A `Trace` holding `(time, node, event, msg_id, info, bytes)` records,
+    each value kept as given, as `Run._record` keeps it."""
+    trace = engine_mod.Trace()
+    columns = (trace.time, trace.node, trace.event, trace.msg_id, trace.info,
+               trace.nbytes)
+    for record in records:
+        for column, value in zip(columns, record):
+            column.append(value)
+    return trace
+
+
 def one_to_all_flow(**overrides) -> TrafficFlow:
     base = dict(pattern="one_to_all", senders="source", dests="all",
                 rate=2.0, payload_bytes=100, start=1.0, stop=2.0)

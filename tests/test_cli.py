@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import one_to_all_flow, small_scenario
+from conftest import one_to_all_flow, small_scenario, trace_of
 import gcnsim.cli as cli
 from gcnsim.cli import main, parse_seeds
 from gcnsim.engine import run_scenario, trace_hash, trace_lines
@@ -76,7 +76,7 @@ def test_run_writes_outputs(tmp_path, capsys):
 
 # --- JSONL traces -----------------------------------------------------------
 
-def dumped_lines(trace: list) -> list:
+def dumped_lines(trace) -> list:
     """Each record as the trace writer first wrote it: a dict through
     `json.dumps`, kept as the reference for the direct formatting."""
     return [json.dumps({"time": time, "node": node, "event": event,
@@ -154,14 +154,19 @@ def test_run_trace_output(tmp_path):
 
 
 def test_trace_lines_equal_json_dumps_on_every_value_type():
+    # the extra times cross the edges of the fixed-point path, and
+    # 0.0009765625 is a tie at the 10th decimal
     records = [(t, node, event, msg_id, info, nbytes)
-               for t in (0.0, 1.5e-06, 2.000000001, 12.0, 1e16)
+               for t in (0.0, 1.5e-06, 2.000000001, 12.0, 1e16, 5e-05, 0.0001,
+                         0.0009765625, 123456.123456789, 999999.9999999999,
+                         1000000.0)
                for node, nbytes in ((0, 0), (7, 1407), (123456, 20))
                for event in ("tx:data", 'odd "name"\\\t\u00e9\n')
                for msg_id in (None, (3, 1), (0, 12345))
                for info in (None, 0, 5, -1, [4, 9], [], (4, 9), (), True, False,
                             0.25, "text", [True, None])]
-    assert list(trace_lines(records)) == dumped_lines(records)
+    trace = trace_of(records)
+    assert list(trace_lines(trace)) == dumped_lines(trace)
 
 
 def test_run_missing_file_exits_2(tmp_path, capsys):

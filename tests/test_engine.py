@@ -116,12 +116,14 @@ def test_trace_bytes_match_report_totals():
     "byte_comparison/smf/1", "resiliency_sweep/smf/0"])
 def test_trace_records_share_their_event_and_keep_numbers_in_arrays(key):
     # a trace holds one object per event name, not a copy per transmission,
-    # and its times, nodes and byte counts as machine numbers, no int or
-    # float object per record; the records' values, and so the hash, are the
-    # pinned ones
+    # one per distinct MRD tuple of its GCN records, and its times, nodes and
+    # byte counts as machine numbers, no int or float object per record; the
+    # records' values, and so the hash, are the pinned ones
     sc, seed = CASES[key]
     trace, _ = Run(sc, seed).run()
     assert len({id(rec[2]) for rec in trace}) == len({rec[2] for rec in trace})
+    mrds = [rec[4] for rec in trace if type(rec[4]) is tuple and rec[2] != "noroute"]
+    assert len(set(map(id, mrds))) == len(set(mrds))
     assert [(type(col), col.typecode) for col in (trace.time, trace.node, trace.nbytes)] \
         == [(array, "d"), (array, "q"), (array, "q")]
     assert trace_hash(trace) == json.loads(GOLDEN.read_text())[key]["trace"]
@@ -155,8 +157,9 @@ def test_a_kept_trace_record_costs_its_fields_not_a_tuple(key, bound):
     # memory held by a finished run's trace, per record, measured in a fresh
     # process: about 54 B (flood) and 55 B (GCN) kept by field, against
     # 124 B and 158 B as one tuple and one float object per record; the
-    # targeted `full_matrix` GCN run's records hold about 108 B with a tuple
-    # `info` and 148 B with a list
+    # targeted `full_matrix` GCN run's records hold about 72 B with one
+    # `info` tuple per distinct MRD list, 103 B with one per transmission and
+    # 148 B with a list
     sc, seed = CASES[key]
     tracemalloc.start()
     try:

@@ -1,17 +1,18 @@
 """Always-on property suites: discovery confinement and oracle agreement,
 corridor-forwarding equivalence on the engine against a brute-force oracle,
-and duplicate transmission bounds."""
+duplicate transmission bounds, and the trace's written times."""
 
+import math
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_on, small_scenario
+from conftest import run_on, small_scenario, trace_of
 from gcnsim.analytics import discovery_reach_set
 from gcnsim.channel import default_curve_points
-from gcnsim.engine import Run
+from gcnsim.engine import Run, trace_lines
 from gcnsim.geometry import bfs_hops, unit_disk_adjacency
 from gcnsim.model import (STREAM_PLACEMENT, ChannelSpec, ConfigurationError,
                           MobilitySpec, Position, Scenario, TimingParams,
@@ -278,3 +279,25 @@ def test_dup_cache_transmission_bounds():
         # budget improvement rebroadcasts strictly increase the sent TTL, so
         # a node sends one discovery message at most source_ttl times
         assert all(c <= sc.source_ttl for c in disc_counts.values())
+
+
+# --- trace times: written and read rounded to 9 decimals --------------------
+
+# the edges of `trace_lines`' fixed-point path, [1e-4, 1e6), a double either
+# side of each, and times that round onto an edge or just short of one; the
+# second float strategy weights the decades either side of the path
+_EDGE_TIMES = [x for edge in (1e-4, 1e6)
+               for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+_EDGE_TIMES += [0.0, 9.99994e-05, 9.9999999951e-05, 999999.9999999994,
+                999999.9999999995]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(0.0, 1e8, exclude_max=True), st.floats(1e-5, 1e7),
+                 st.sampled_from(_EDGE_TIMES)))
+def test_trace_writes_and_reads_each_time_rounded_to_9_decimals(t):
+    trace = trace_of([(t, 3, "deliver", None, None, 0)])
+    [line] = trace_lines(trace)
+    assert line.startswith(f'{{"time": {round(t, 9)!r}, "node": 3, ')
+    [(time, *_)] = trace
+    assert time == round(t, 9)
