@@ -1,18 +1,2 @@
 """Group-centric networking simulator: discovery regeneration, tunable
 relay resiliency, targeted flooding, and a TTL-scoped flooding baseline."""
-
-from .analytics import (MetricsReport, aggregate, connectivity_sample,
-                        mc_discovery_oracle, predict_discovery_fraction)
-from .engine import Run, run_scenario, trace_hash
-from .model import (ChannelSpec, MobilitySpec, Position, Scenario,
-                    TimingParams, TrafficFlow, TrafficSpec, load_scenario,
-                    place_nodes, validate_scenario)
-from .presets import PRESETS, get_preset
-
-__all__ = [
-    "ChannelSpec", "MetricsReport", "MobilitySpec", "PRESETS", "Position",
-    "Run", "Scenario", "TimingParams", "TrafficFlow", "TrafficSpec",
-    "aggregate", "connectivity_sample", "get_preset", "load_scenario",
-    "mc_discovery_oracle", "place_nodes", "predict_discovery_fraction",
-    "run_scenario", "trace_hash", "validate_scenario",
-]

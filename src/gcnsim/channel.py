@@ -47,7 +47,6 @@ def _curve_per(points: list, d: float) -> float:
         if d <= d1:
             frac = (d - d0) / (d1 - d0)
             return p0 + frac * (p1 - p0)
-    return points[-1][1]
 
 
 def per_at(spec: ChannelSpec, d: float) -> float:

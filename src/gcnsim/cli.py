@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .analytics import aggregate
-from .engine import Trace, run_scenario, trace_lines
+from .engine import Run, Trace, trace_lines
 from .model import (PROTOCOLS, ConfigurationError, Scenario, load_scenario,
                     save_scenario, validate_scenario)
 from .presets import PRESETS, get_preset
@@ -45,7 +45,7 @@ def write_trace(trace: Trace, out_dir: str, seed: int) -> None:
 
 def _worker(args):
     scenario, seed, trace_dir = args
-    trace, report = run_scenario(scenario, seed, collect_trace=trace_dir is not None)
+    trace, report = Run(scenario, seed, collect_trace=trace_dir is not None).run()
     if trace_dir is not None:  # written where it ran: no trace is pickled back
         write_trace(trace, trace_dir, seed)
         trace = Trace()
@@ -153,7 +153,8 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
     """Assign one scenario value by its path, coercing the type from the
     current value.  A nested spec's field is named through the spec
     ("channel.base_loss"), and an integer part indexes a list
-    ("traffic.flows.0.rate")."""
+    ("traffic.flows.0.rate"); a list's item itself is no parameter ("seeds.0":
+    the runs read their seeds from `--seeds` or the preset, not the copy)."""
     parts = name.split(".")
     current = scenario
     for part in parts:
@@ -166,6 +167,8 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
             raise ConfigurationError(f"unknown scenario parameter {name!r}")
     if dataclasses.is_dataclass(current) or isinstance(current, (list, tuple)):
         raise ConfigurationError(f"scenario parameter {name!r} is not one value")
+    if isinstance(target, list):
+        raise ConfigurationError(f"scenario parameter {name!r} is a list item")
     try:
         if raw.lower() in ("none", "null"):
             value = None
@@ -177,10 +180,7 @@ def _set_param(scenario: Scenario, name: str, raw: str) -> None:
             value = raw
     except ValueError:
         raise ConfigurationError(f"--values {raw!r} is not a valid {name!r}") from None
-    if isinstance(target, list):
-        target[int(part)] = value
-    else:
-        setattr(target, part, value)
+    setattr(target, part, value)
 
 
 def cmd_sweep(args) -> int:

@@ -470,8 +470,3 @@ class Run:
             self.report.discovered_fraction = heard / len(self.members)
         self.report.delivery_per_flow = [tuple(c) for c in self._flow_counts]
         return self.trace, self.report
-
-
-def run_scenario(scenario: Scenario, seed: int, collect_trace: bool = True):
-    """Convenience wrapper: one run, returning (trace, MetricsReport)."""
-    return Run(scenario, seed, collect_trace=collect_trace).run()

@@ -22,7 +22,7 @@ from gcnsim.analytics import (discovered_member_fraction,
                               discovery_reach_set, mc_discovery_oracle,
                               predict_discovery_fraction)
 from gcnsim.cli import run_batch
-from gcnsim.engine import Run, run_scenario, trace_hash
+from gcnsim.engine import Run, trace_hash
 from gcnsim.geometry import bfs_hops, unit_disk_adjacency
 from gcnsim.model import MobilitySpec, TimingParams
 from gcnsim.presets import get_preset
@@ -286,8 +286,8 @@ def test_criterion_8_property_suites():
     checks = []
 
     sc = get_preset("discovery_reach").scenario
-    t1, r1 = run_scenario(sc, 0)
-    t2, r2 = run_scenario(sc, 0)
+    t1, r1 = Run(sc, 0).run()
+    t2, r2 = Run(sc, 0).run()
     checks.append(("determinism", trace_hash(t1) == trace_hash(t2)
                    and r1.to_scalars() == r2.to_scalars(),
                    "identical trace hash and metrics on rerun"))
@@ -341,7 +341,7 @@ def test_criterion_8_property_suites():
                    f"{mismatches} mismatches over 200 sampled instances "
                    "(the full 1000-instance suite runs in the property tests)"))
 
-    trace, _ = run_scenario(get_preset("byte_comparison").scenario, 0)
+    trace, _ = Run(get_preset("byte_comparison").scenario, 0).run()
     tx_counts: dict = {}
     for _t, node, event, msg_id, _info, _b in trace:
         if event == "tx:data":

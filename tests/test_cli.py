@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -15,7 +16,7 @@ import pytest
 from conftest import one_to_all_flow, small_scenario, trace_of
 import gcnsim.cli as cli
 from gcnsim.cli import main, parse_seeds
-from gcnsim.engine import run_scenario, trace_hash, trace_lines
+from gcnsim.engine import Run, trace_hash, trace_lines
 from gcnsim.model import ChannelSpec, TrafficFlow, TrafficSpec, save_scenario
 from gcnsim.presets import get_preset
 
@@ -145,7 +146,7 @@ def test_run_trace_output(tmp_path):
                  "--trace"]) == 0
     data = (out / "trace_seed0.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == EVERY_EVENT_TRACE_SHA256
-    trace, _ = run_scenario(every_event_scenario(), 0)
+    trace, _ = Run(every_event_scenario(), 0).run()
     assert trace_hash(trace) == EVERY_EVENT_TRACE_SHA256
     lines = data.decode().splitlines()
     assert {json.loads(line)["event"] for line in lines} == set(TRACE_SCHEMA)
@@ -324,6 +325,18 @@ def test_check_skips_a_preset_with_no_expected_values(capsys, monkeypatch):
     assert jobs == []
 
 
+def test_check_fails_a_metric_its_runs_never_report(capsys, monkeypatch):
+    jobs = []
+    monkeypatch.setattr("gcnsim.cli.run_batch", recording_batch(jobs))
+    preset = get_preset("discovery_reach")
+    monkeypatch.setattr(preset, "expected", [
+        dataclasses.replace(preset.expected[0], metric="bogus_metric")])
+    assert main(["check", "discovery_reach", "--seeds", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out == "FAIL discovery_reach/bogus_metric: metric missing\n"
+    assert [seed for _, seed, _ in jobs] == [0]
+
+
 def no_runs(*args, **kwargs):
     raise AssertionError("a seed ran before the input was checked")
 
@@ -462,6 +475,8 @@ def recording_batch(jobs: list):
      "error: scenario parameter 'traffic.flows.0' is not one value"),
     ("discovery_reach", "seeds", "1",
      "error: scenario parameter 'seeds' is not one value"),
+    ("discovery_reach", "seeds.0", "1",   # the runs take their seeds from --seeds
+     "error: scenario parameter 'seeds.0' is a list item"),
     ("resiliency_sweep", "traffic.flows.0.rate", "2", None),
 ])
 def test_sweep_param_paths(preset, param, raw, why, capsys, monkeypatch):
@@ -538,15 +553,14 @@ def test_a_failing_seed_cancels_the_seeds_no_worker_has_taken(tmp_path, monkeypa
     # when seed 0 raises, `Executor.map` cancels every job not yet handed to
     # a worker: only the seeds in flight, about two per worker, finish and
     # leave a trace file, and no summary is written
-    run = cli.run_scenario
+    class Seed0Fails(Run):
+        def run(self):
+            if self.seed == 0:
+                raise RuntimeError("seed 0 failed")
+            time.sleep(0.2)
+            return super().run()
 
-    def seed0_fails(scenario, seed, collect_trace=True):
-        if seed == 0:
-            raise RuntimeError("seed 0 failed")
-        time.sleep(0.2)
-        return run(scenario, seed, collect_trace)
-
-    monkeypatch.setattr(cli, "run_scenario", seed0_fails)
+    monkeypatch.setattr(cli, "Run", Seed0Fails)
     monkeypatch.setenv("GCNSIM_WORKERS", "2")
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="seed 0 failed"):

@@ -15,7 +15,7 @@ import gcnsim.engine as engine_mod
 import gcnsim.smf as smf_mod
 from conftest import one_to_all_flow, small_scenario
 from gcnsim.analytics import build_world, connectivity_sample
-from gcnsim.engine import Run, run_scenario, trace_hash
+from gcnsim.engine import Run, trace_hash
 from gcnsim.channel import default_curve_points
 from gcnsim.mobility import advance, init_motion
 from gcnsim.model import (STREAM_MOBILITY, STREAM_PROTOCOL, ChannelSpec,
@@ -41,16 +41,16 @@ def tx_records(trace, kind):
 
 def test_identical_runs_have_identical_traces():
     sc = small_scenario(traffic=flows(one_to_all_flow()))
-    t1, r1 = run_scenario(sc, 3)
-    t2, r2 = run_scenario(sc, 3)
+    t1, r1 = Run(sc, 3).run()
+    t2, r2 = Run(sc, 3).run()
     assert trace_hash(t1) == trace_hash(t2)
     assert r1.to_scalars() == r2.to_scalars()
 
 
 def test_different_seeds_differ():
     sc = small_scenario(traffic=flows(one_to_all_flow()))
-    t1, _ = run_scenario(sc, 3)
-    t2, _ = run_scenario(sc, 4)
+    t1, _ = Run(sc, 3).run()
+    t2, _ = Run(sc, 4).run()
     assert trace_hash(t1) != trace_hash(t2)
 
 
@@ -70,7 +70,7 @@ def test_invalid_scenario_rejected_at_construction():
 
 def test_wire_byte_constants_in_trace():
     sc = small_scenario(traffic=flows(one_to_all_flow(payload_bytes=1400)))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     disc = tx_records(trace, "discovery")
     acks = tx_records(trace, "ack")
     datas = tx_records(trace, "data")
@@ -83,7 +83,7 @@ def test_targeted_pair_bytes():
     sc = small_scenario(traffic=flows(TrafficFlow(
         pattern="targeted", senders="all_members", dests="source",
         rate=1.0, payload_bytes=1400, start=1.0, stop=2.0)))
-    trace, _ = run_scenario(sc, 0)
+    trace, _ = Run(sc, 0).run()
     datas = tx_records(trace, "data")
     assert datas
     # payload + base header + one (dest, mrd) pair
@@ -93,7 +93,7 @@ def test_targeted_pair_bytes():
 def test_smf_data_bytes():
     sc = small_scenario(protocol="smf",
                         traffic=flows(one_to_all_flow(payload_bytes=1400)))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     datas = tx_records(trace, "data")
     assert datas and all(rec[5] == 1402 for rec in datas)  # payload + TTL header
     assert report.bytes_control == 0
@@ -102,7 +102,7 @@ def test_smf_data_bytes():
 
 def test_trace_bytes_match_report_totals():
     sc = small_scenario(traffic=flows(one_to_all_flow()))
-    trace, report = run_scenario(sc, 1)
+    trace, report = Run(sc, 1).run()
     control = sum(rec[5] for rec in trace
                   if rec[2] in ("tx:discovery", "tx:ack"))
     data = sum(rec[5] for rec in trace if rec[2] == "tx:data")
@@ -206,7 +206,7 @@ def test_a_trace_yields_its_records_as_tuples_and_pickles_whole(key):
 
 def test_trace_times_are_monotone_and_bounded():
     sc = small_scenario(traffic=flows(one_to_all_flow()))
-    trace, _ = run_scenario(sc, 2)
+    trace, _ = Run(sc, 2).run()
     times = [rec[0] for rec in trace]
     assert times == sorted(times)
     assert times[-1] <= sc.duration
@@ -215,7 +215,7 @@ def test_trace_times_are_monotone_and_bounded():
 def test_rediscovery_produces_epochs():
     sc = small_scenario(duration=3.5,
                         timing=TimingParams(rediscovery_period=1.0))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     discovers = [rec for rec in trace if rec[2] == "discover"]
     assert [rec[4] for rec in discovers] == [0, 1, 2, 3]
     assert sorted(report.relays_per_epoch) == [0, 1, 2, 3]
@@ -224,7 +224,7 @@ def test_rediscovery_produces_epochs():
 def test_relay_count_never_decreases_across_epochs():
     sc = small_scenario(duration=5.0, desired_relays=3,
                         timing=TimingParams(rediscovery_period=1.0))
-    _, report = run_scenario(sc, 0)
+    _, report = Run(sc, 0).run()
     counts = [report.relays_per_epoch[e] for e in sorted(report.relays_per_epoch)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
@@ -233,14 +233,14 @@ def test_relay_count_never_decreases_across_epochs():
 
 def test_lossfree_one_to_all_delivers_everything():
     sc = small_scenario(source_ttl=3, traffic=flows(one_to_all_flow()))
-    _, report = run_scenario(sc, 0)
+    _, report = Run(sc, 0).run()
     assert report.delivery_per_flow and report.delivery_rate == 1.0
 
 
 def test_delivery_counts_only_intended_recipients():
     sc = small_scenario(traffic=flows(one_to_all_flow(rate=1.0, start=1.0,
                                                       stop=2.0)))
-    _, report = run_scenario(sc, 0)
+    _, report = Run(sc, 0).run()
     done, want = report.delivery_per_flow[0]
     assert want == report.num_members - 1  # one packet, all other members
     assert done <= want
@@ -250,7 +250,7 @@ def test_targeted_send_before_discovery_counts_noroute():
     sc = small_scenario(duration=2.0, traffic=flows(TrafficFlow(
         pattern="targeted", senders="all_members", dests="source",
         rate=1.0, payload_bytes=100, start=0.0, stop=0.5)))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     assert report.no_route_drops >= 1
     assert any(rec[2] == "noroute" for rec in trace)
     # the drop still counts against the flow's expected deliveries
@@ -265,8 +265,8 @@ def test_a_member_listed_in_its_own_dests_never_addresses_itself():
     by_name = small_scenario(traffic=flows(targeted))
     _, source = build_world(by_name, 0)
     by_id = replace(by_name, traffic=flows(replace(targeted, dests=[source])))
-    trace, report = run_scenario(by_id, 0)
-    ref_trace, ref_report = run_scenario(by_name, 0)
+    trace, report = Run(by_id, 0).run()
+    ref_trace, ref_report = Run(by_name, 0).run()
     # the source sends nothing, so it causes no drop and expects nothing
     assert report.no_route_drops == 0
     assert report.delivery_per_flow[0][1] == 2 * (report.num_members - 1)
@@ -281,14 +281,14 @@ def test_a_lone_member_sends_no_targeted_data(protocol):
                   protocol=protocol, traffic=flows(TrafficFlow(
                       pattern="targeted", senders="all_members", dests="all",
                       rate=1.0, payload_bytes=100, start=1.0, stop=4.0)))
-    trace, report = run_scenario(sc, 2)
+    trace, report = Run(sc, 2).run()
     assert report.num_members == 1
     assert tx_records(trace, "data") == []
     assert report.delivery_per_flow == [(0, 0)]
 
 
 def test_discovered_fraction_reported():
-    _, report = run_scenario(small_scenario(), 0)
+    _, report = Run(small_scenario(), 0).run()
     assert 0.0 < report.discovered_fraction <= 1.0
 
 
@@ -296,7 +296,7 @@ def test_discovered_fraction_reported():
 
 def test_gcn_connectivity_series_sampled_every_second():
     sc = small_scenario(duration=5.0)
-    _, report = run_scenario(sc, 0)
+    _, report = Run(sc, 0).run()
     times = [t for t, _ in report.connectivity_series]
     assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert all(0.0 <= f <= 1.0 for _, f in report.connectivity_series)
@@ -308,17 +308,17 @@ def test_mobile_run_smoke():
         mobility=MobilitySpec(kind="random_waypoint", speed_min=0.0,
                               speed_max=5.0, pause_min=0.0, pause_max=1.0),
         traffic=flows(one_to_all_flow(start=1.0, stop=4.0)))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     assert report.delivery_per_flow
     assert len(report.connectivity_series) == 5
 
 
 def test_refresh_packets_counted_as_data():
     base = small_scenario(duration=4.0)
-    _, quiet = run_scenario(base, 0)
+    _, quiet = Run(base, 0).run()
     sc = small_scenario(duration=4.0,
                         timing=TimingParams(distance_refresh_period=1.0))
-    trace, report = run_scenario(sc, 0)
+    trace, report = Run(sc, 0).run()
     assert report.bytes_data > quiet.bytes_data
     # refresh packets are unmetered: they never inflate delivery accounting
     assert report.delivery_per_flow == quiet.delivery_per_flow == []
@@ -340,7 +340,7 @@ def test_static_flood_builds_the_unit_disk_graph_once(monkeypatch):
         built.clear()
         sc = small_scenario(protocol=protocol, traffic=flows(
             one_to_all_flow(senders="all_members")))
-        trace, report = run_scenario(sc, 0)
+        trace, report = Run(sc, 0).run()
         assert report.num_members > 1
         assert any(rec[2] == "deliver" for rec in trace)
         assert built == [sc.num_users]
@@ -461,32 +461,15 @@ class CountingRun(Run):
         self._transmitting = True
 
 
-class PushingRun(Run):
+class CollectingRun(Run):
     """The reference: a transmission collects all its hearers first, then
     runs their receptions in order, before anything else due at `now`."""
 
     def _transmit(self, sender, pkt):
-        nbytes = pkt.wire_bytes()
-        if pkt.kind in ("discovery", "ack"):
-            self.report.bytes_control += nbytes
-        else:
-            self.report.bytes_data += nbytes
-        if self.collect_trace:
-            info = (pkt.ttl if pkt.ttl is not None
-                    else tuple([m for _, m in pkt.destinations]))
-            self._record(sender, engine_mod._TX_EVENTS[pkt.kind], pkt.msg_id,
-                         info, nbytes)
-        if self._mobile:
-            self._sync_positions()
-        per = self._flat_per
-        if per is not None:
-            row = self._graph()[sender]
-        elif (row := self._priced_rows.get(sender)) is None:
-            row = self._priced_rows[sender] = self._neighbor_row(sender)
         heard = []
-        engine_mod.channel_mod.sample(row, per, self.channel_rng,
-                                      lambda node, _pkt, _sender: heard.append(node),
-                                      pkt, sender)
+        self._receive = lambda node, _pkt, _sender: heard.append(node)
+        super()._transmit(sender, pkt)
+        del self._receive  # the class's own reception again
         for node in heard:
             self._receive(node, pkt, sender)
 
@@ -508,21 +491,21 @@ def _lossy_static_flood(**overrides):
     (CASES["full_matrix/smf/0"], False)],
     ids=["no_jitter_gcn", "no_jitter_smf", "static_flood", "mobile_gcn",
          "lossy_gcn", "curve_smf"])
-def test_inline_delivery_matches_pushing_every_reception(case, ties):
+def test_inline_delivery_matches_collecting_every_hearer_first(case, ties):
     sc, seed = case
-    inline, pushing = CountingRun(sc, seed), PushingRun(sc, seed)
+    inline, collecting = CountingRun(sc, seed), CollectingRun(sc, seed)
     trace, report = inline.run()
-    ref_trace, ref_report = pushing.run()
+    ref_trace, ref_report = collecting.run()
     assert trace_hash(trace) == trace_hash(ref_trace)
     assert report.to_scalars() == ref_report.to_scalars()
-    assert inline.channel_rng.getstate() == pushing.channel_rng.getstate()
+    assert inline.channel_rng.getstate() == collecting.channel_rng.getstate()
     if ties:
         # without jitter most transmissions share an instant with another
         # event, and their receptions still run before it
         assert inline.tied > 0
 
 
-def test_rx_pushes_are_rare_with_the_default_jitter():
+def test_a_transmission_pushes_nothing_with_or_without_jitter():
     """A transmission pushes nothing, with the default jitter and without."""
     for jitter in (0.001, 0.0):
         run = CountingRun(_lossy_static_flood(
@@ -573,20 +556,17 @@ class PreScheduledRun(Run):
             while refresh and k * refresh < sc.duration:
                 self._push(k * refresh, engine_mod._REFRESH, k)
                 k += 1
-        for flow_idx, flow in enumerate(sc.traffic.flows):
-            senders = ([self.source] if flow.senders == "source"
-                       else sorted(self.members))
-            for sender in senders:
-                dests = self._resolve_dests(flow, sender)
-                if not dests and flow.pattern == "targeted":
-                    continue
-                k = 0
-                while True:
-                    t = flow.start + k / flow.rate
-                    if t >= flow.stop:
-                        break
-                    self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender, dests))
-                    k += 1
+        for flow_idx, sender, dests in self._sends:
+            flow = sc.traffic.flows[flow_idx]
+            if not dests and flow.pattern == "targeted":
+                continue
+            k = 0
+            while True:
+                t = flow.start + k / flow.rate
+                if t >= flow.stop:
+                    break
+                self._push(t, engine_mod._TRAFFIC, k, (flow_idx, sender, dests))
+                k += 1
         if sc.protocol == "gcn":  # a flood run samples nothing
             for k in range(1, int(sc.duration // engine_mod.SAMPLE_PERIOD) + 1):
                 self._push(k * engine_mod.SAMPLE_PERIOD, engine_mod._SAMPLE, k)
@@ -898,12 +878,10 @@ class ShadowRun(Run):
             flow_idx, dests = self._sending
             self.recipients[actions[0].packet.msg_id] = (flow_idx, set(dests), set())
             self._sending = None
+        super()._apply_actions(node_id, [
+            act for act in actions if isinstance(act, (Transmit, SendAck))])
         for act in actions:
-            if isinstance(act, Transmit):
-                self._push(self.now + act.delay, engine_mod._TX, node_id, act.packet)
-            elif isinstance(act, SendAck):
-                self._push(self.now + act.delay, engine_mod._ACK_DUE, node_id)
-            elif isinstance(act, BecomeRelay):
+            if isinstance(act, BecomeRelay):
                 self._record(node_id, "relay", info=self.epoch)
             elif isinstance(act, Deliver) and act.msg_id in self.recipients:
                 flow_idx, intended, counted = self.recipients[act.msg_id]
